@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos.schedule import FaultSpec
@@ -18,6 +21,14 @@ from repro.fabric.chaos import (
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
 from repro.simulator.failures import CompositeFailure
+
+#: Pinned sha256 of ``fabric_soak(FabricSoakConfig(seed=3)).to_dict()``.
+GOLDEN_SOAK = "612b492bc09a467387dae50708e2968b60f39da5a0b6d0c27e3ab98398dfd197"
+
+
+@pytest.fixture(scope="module")
+def soak_result():
+    return fabric_soak(FabricSoakConfig(seed=3))
 
 
 class TestLinkTargets:
@@ -108,8 +119,8 @@ class TestFabricSoak:
         with pytest.raises(ValueError):
             fabric_soak(FabricSoakConfig(ring_size=3))
 
-    def test_soak_holds_invariants(self):
-        result = fabric_soak(FabricSoakConfig(seed=3))
+    def test_soak_holds_invariants(self, soak_result):
+        result = soak_result
         assert result.ok, [v.to_dict() for v in result.violations]
         # Reports live only on the faulted link; the sentinel monitors
         # (no fault, or no traffic at all) stay silent.
@@ -122,3 +133,7 @@ class TestFabricSoak:
         serialized = result.to_dict()
         assert serialized["ok"] is True
         assert serialized["seed"] == 3
+
+    def test_soak_result_pinned(self, soak_result):
+        text = json.dumps(soak_result.to_dict(), sort_keys=True, default=repr)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SOAK

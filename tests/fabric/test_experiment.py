@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -24,6 +26,30 @@ def ring_result(quick_config):
 @pytest.fixture(scope="module")
 def fat_tree_result(quick_config):
     return fabric.run_fat_tree_case(quick_config)
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["fluid", "discrete"])
+def background_ring(request, quick_config):
+    """Ring closed loop with hash-tree-counted background entries."""
+    config = replace(quick_config, background_entries=4, tree=True,
+                     fluid=request.param)
+    return request.param, fabric.run_ring_case(config)
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Pinned sha256 of whole closed-loop results.  A refactor of the run
+#: bodies must reproduce these bytes; a changed digest is a behaviour
+#: change to explain, never a value to re-pin silently.
+GOLDEN = {
+    "ring": "1136351059afc7270d90706aff09273d660c12368098db57660b0ee32af56769",
+    "fat_tree": "b537ac86822cd6ca036f84567d4f168bd190d737e0fe7bd6156309d2fa48a315",
+    "ring+bg/fluid": "211987a45acfb893898d2a9a43780375edd34c29faf153884389eca7e0656208",
+    "ring+bg/discrete": "095ae02fe53fbce267ad9c62d13c1726d81b2a5a9a2c058e8e60123079b3ee2b",
+}
 
 
 class TestRingCase:
@@ -68,6 +94,21 @@ class TestFatTreeCase:
         again = fabric.run_fat_tree_case(quick_config)
         assert again["detections"] == fat_tree_result["detections"]
         assert again["detections"], "expected detection records"
+
+
+class TestGoldenOutputs:
+    def test_ring_result_pinned(self, ring_result):
+        assert _digest(ring_result) == GOLDEN["ring"]
+
+    def test_fat_tree_result_pinned(self, fat_tree_result):
+        assert _digest(fat_tree_result) == GOLDEN["fat_tree"]
+
+    def test_background_ring_pinned(self, background_ring):
+        fluid, result = background_ring
+        assert result["attribution_correct"]
+        assert (result["fluid_absorbed"] > 0) is fluid
+        mode = "fluid" if fluid else "discrete"
+        assert _digest(result) == GOLDEN[f"ring+bg/{mode}"]
 
 
 class TestHarness:

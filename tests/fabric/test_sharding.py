@@ -9,6 +9,8 @@ and byte-identical Prometheus text and trace JSONL.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,6 +18,14 @@ import pytest
 from repro.experiments import fabric
 from repro.fabric.sharding import ShardSpec, merge_link_results, plan_shards
 from repro.runtime import RuntimeContext, stable_seed
+
+#: Pinned sha256 of the merged sharded outputs; a refactor of the probe
+#: or the shard runner must reproduce these bytes.
+GOLDEN_SHARDED = {
+    "detections": "df1803b3eb3e2881d1de88b465c9b6e703f022a03f620c05e730f17dc0f2564e",
+    "prometheus": "405401ad5cc8ea78a91241ccfc09e478133e9e148cc0f8309a283ef8896dfc6f",
+    "trace_jsonl": "79e3297a5daea5ab2174a911115070a1ab665f63a893269a0e9bcd374102a0f9",
+}
 
 LINKS = ["a->b", "b->a", "b->c", "c->b", "a->c", "c->a"]
 
@@ -134,6 +144,16 @@ class TestShardCountInvariance:
         assert (shard_runs[1]["fluid_absorbed"]
                 == shard_runs[2]["fluid_absorbed"]
                 == shard_runs[4]["fluid_absorbed"])
+
+    def test_outputs_pinned(self, shard_runs):
+        for result in shard_runs.values():
+            digests = {
+                key: hashlib.sha256(json.dumps(
+                    result[key], sort_keys=True, default=repr
+                ).encode("utf-8")).hexdigest()
+                for key in GOLDEN_SHARDED
+            }
+            assert digests == GOLDEN_SHARDED
 
     def test_parallel_workers_match_serial(self, shard_runs):
         """Worker processes are an execution knob too: a 2-worker run

@@ -9,6 +9,8 @@ or timeline events across links.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,6 +19,16 @@ from repro.experiments import fabric
 from repro.obs.schema import validate_spans
 from repro.obs.trace import spans_to_jsonl
 from repro.telemetry import Telemetry
+from repro.telemetry.export import to_prometheus
+
+#: Pinned sha256 of the traced outputs; see tests/fabric/test_experiment.py.
+GOLDEN_RING_OBS = "388024d92d06d6e6cf8f4e723d3f2af633ea76b4588e7ef5cf91692e38e9ac4b"
+GOLDEN_FAT_TREE_PROMETHEUS = (
+    "f3041f827fd4d6ea3ba158dd3871d0f90f79cd5f9f8f05b36d8306381bb4b673")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +88,10 @@ class TestRingCausalOrder:
         others = [s for lid, s in links.items()
                   if lid != traced_ring["failed_link"]]
         assert set(others) == {"healthy"}
+
+    def test_obs_payload_pinned(self, traced_ring):
+        obs = json.dumps(traced_ring["obs"], sort_keys=True, default=repr)
+        assert _sha(obs) == GOLDEN_RING_OBS
 
     def test_same_seed_byte_identical_jsonl(self, traced_config, traced_ring):
         again = fabric.run_ring_case(traced_config,
@@ -143,6 +159,11 @@ class TestForkIsolation:
             for fsm in fsms:
                 assert fsm.startswith(link_id), (
                     f"{link_id}'s private timeline saw {fsm}")
+
+    def test_metrics_pinned(self, traced_fat_tree):
+        telemetry, _deployment = traced_fat_tree
+        text = to_prometheus(telemetry.metrics.snapshot())
+        assert _sha(text) == GOLDEN_FAT_TREE_PROMETHEUS
 
     def test_trace_scopes_match_links(self, traced_fat_tree):
         _telemetry, deployment = traced_fat_tree

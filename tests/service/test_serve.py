@@ -14,6 +14,8 @@ The serve acceptance criteria (docs/ROBUSTNESS.md):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -38,6 +40,15 @@ PAPER = ServeConfig(
     n_flows=6, total_rate_bps=2_000_000.0, dedicated_session_s=0.05,
     tree_session_s=0.2, twait_s=0.015, rtx_timeout_s=0.05,
     declare_grace_s=1.0, grey_start_s=0.5, trace_window_s=2.0)
+
+#: Pinned sha256 of the SHORT serve's outputs; a refactor of the probe or
+#: the shard runner must reproduce these bytes.
+GOLDEN_SHORT = {
+    "health_json": "24158f1ea58851572684d8ab02c5b698cc8fc2a90a6e73e19cb543b7d80fe437",
+    "trace_jsonl": "7fa2998d5e1d8819604cf7e06453fb87b5acf3fe459a55e656ad9e1e649c8286",
+    "prometheus": "2bd607f275131bec63ac4f5a7eb7ce653594351dffd0900f869a620ad590940e",
+    "detections": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+}
 
 
 class TestPlanning:
@@ -85,6 +96,15 @@ class TestDeterminismAndSharding:
         assert sharded.trace_jsonl == short_result.trace_jsonl
         assert sharded.prometheus == short_result.prometheus
         assert sharded.detections == short_result.detections
+
+    def test_outputs_pinned(self, short_result):
+        digests = {
+            key: hashlib.sha256(json.dumps(
+                getattr(short_result, key), sort_keys=True, default=repr
+            ).encode("utf-8")).hexdigest()
+            for key in GOLDEN_SHORT
+        }
+        assert digests == GOLDEN_SHORT
 
     def test_different_seed_changes_the_run(self, short_result):
         other = run_serve(dataclasses.replace(SHORT, seed=SHORT.seed + 1))
