@@ -32,12 +32,12 @@ from ..fabric.builders import fat_tree, ring
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
 from ..fabric.reroute import FabricRerouteController
+from ..fabric.scenario import (bind_fluid, egress_legs, link_payload,
+                               open_fault_episode, start_staggered, start_udp)
 from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
-from ..simulator import fastpath
 from ..simulator.apps import ThroughputMeter
 from ..simulator.engine import Simulator
 from ..simulator.failures import EntryLossFailure
-from ..simulator.udp import UdpSource
 
 __all__ = ["FabricExpConfig", "run_ring_case", "run_fat_tree_case", "run",
            "run_sharded", "render", "main"]
@@ -45,6 +45,7 @@ __all__ = ["FabricExpConfig", "run_ring_case", "run_fat_tree_case", "run",
 #: Background flows get ids far above the high-priority range so the two
 #: namespaces can never collide in flowlet hashing or fluid bindings.
 _BG_FLOW_BASE = 1000
+
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ class FabricExpConfig:
     #: entries become piecewise-constant rate segments absorbed into the
     #: counters at counting-window boundaries instead of per-packet
     #: events.  High-priority entries always stay discrete — they drive
-    #: detection, reroute and goodput metering.  ``fastpath.scoped
-    #: (fluid=True)`` enables the same tier without touching the config.
+    #: detection, reroute and goodput metering.
     fluid: bool = False
     #: Best-effort entries sharing the high-priority endpoints — the
     #: traffic the fluid model absorbs (and the discrete engine pays
@@ -98,124 +98,25 @@ def _first_flag_time(deployment: FabricDeployment, link_id: str,
     return report.time if report is not None else None
 
 
-def _bg_entries(config: FabricExpConfig,
-                entries: dict[Any, tuple[str, str]]) -> dict[Any, tuple[str, str]]:
-    """Best-effort entries cycling the high-priority endpoint pairs."""
+def _run_case(case: str, config: FabricExpConfig, telemetry: Any = None,
+              link: Optional[str] = None, link_seed: int = 0) -> tuple:
+    """Build and run one case; ``(plan, deployment, controller, meters, fluid)``.
+
+    ``link=None`` is the closed loop: every link monitored, reroute
+    controller, goodput meters.  A link id makes that link's probe
+    (docs/FABRIC.md): one monitor, only the flows crossing it, fluid loss
+    seeded from ``link_seed``, no reroute, no meters.  Both install the
+    planned failure, so every probe observes the same fabric.
+    """
+    plan = _case_plan(case, config)
+    net = _build_net(case, config)
+    entries = plan["entries"]
+    # Best-effort entries cycling the high-priority endpoint pairs.
     pairs = list(entries.values())
-    return {f"bg/{j}": pairs[j % len(pairs)]
-            for j in range(config.background_entries)}
-
-
-def _fluid_legs(net: FabricNetwork, path: list[str], a: str, b: str,
-                packet_size: int) -> Optional[tuple[float, ...]]:
-    """Delay chain host → ``a``'s egress, or None if ``a->b`` is off-path.
-
-    Mirrors the discrete pipeline's per-hop additions in order: the
-    instant access link delivers at ``now + access_delay``, each
-    switch-switch hop serializes then propagates, and the monitor's
-    egress tap fires inline at the arrival instant — so folding these
-    legs left-to-right reproduces the exact float the packet model
-    compares against the counting-window boundary.
-    """
-    try:
-        idx = path.index(a)
-    except ValueError:
-        return None
-    if idx + 1 >= len(path) or path[idx + 1] != b:
-        return None
-    legs: list[float] = [net.access_delay_s]
-    for i in range(idx):
-        link = net.link(path[i], path[i + 1])
-        if link.bandwidth_bps:
-            legs.append(packet_size * 8 / link.bandwidth_bps)
-        legs.append(link.delay_s)
-    return tuple(legs)
-
-
-def _bind_fluid_background(
-    config: FabricExpConfig,
-    net: FabricNetwork,
-    deployment: FabricDeployment,
-    bg: dict[Any, tuple[str, str]],
-    flow_base: int = _BG_FLOW_BASE,
-    loss_seed_override: Optional[int] = None,
-) -> Any:
-    """Register background flows as fluid and bind them per monitor.
-
-    Each monitor gets the subset of flows whose ECMP path crosses its
-    link, grouped by delay chain; per-window loss draws seed from
-    ``stable_seed(config.seed, "fluid-loss", link_id)`` (or the sharded
-    runner's per-link seed) — either way a pure function of the base
-    seed and the link id, never of worker or shard count.
-    """
-    from ..simulator.fluid import FluidFlow, FluidTraffic
-
-    engine = FluidTraffic(net.sim)
-    for j, (entry, _pair) in enumerate(bg.items()):
-        engine.add_flow(FluidFlow(
-            entry=entry, flow_id=flow_base + j,
-            rate_bps=config.background_rate_bps,
-            packet_size=config.background_packet_size,
-            jitter=0.1, seed=stable_seed(config.seed, "bg", j),
-            start_s=0.0005 * (j + 1),
-        ))
-    for link_id, monitor in deployment.monitors.items():
-        a, b = net.endpoints(link_id)
-        by_legs: dict[tuple[float, ...], list[Any]] = {}
-        for flow in engine.flows:
-            path = net.flow_path(flow.entry, flow.flow_id)
-            legs = _fluid_legs(net, path, a, b, flow.packet_size)
-            if legs is not None:
-                by_legs.setdefault(legs, []).append(flow)
-        loss_seed = (loss_seed_override if loss_seed_override is not None
-                     else stable_seed(config.seed, "fluid-loss", link_id,
-                                      bits=31))
-        for legs, flows in by_legs.items():
-            engine.bind_monitor(
-                monitor, flows, legs,
-                loss_model=net.link(a, b).loss_model,
-                loss_seed=loss_seed,
-            )
-    return engine
-
-
-def _start_background_sources(
-    config: FabricExpConfig,
-    net: FabricNetwork,
-    bg: dict[Any, tuple[str, str]],
-    only_flow_ids: Optional[set] = None,
-) -> None:
-    """Discrete background: one UdpSource per entry, fluid-matched params."""
-    for j, (entry, (src, dst)) in enumerate(bg.items()):
-        flow_id = _BG_FLOW_BASE + j
-        if only_flow_ids is not None and flow_id not in only_flow_ids:
-            continue
-        net.host(dst)  # materialize the sink before traffic arrives
-        UdpSource(
-            net.sim, net.host(src).send, entry, flow_id=flow_id,
-            rate_bps=config.background_rate_bps,
-            packet_size=config.background_packet_size,
-            jitter=0.1, seed=stable_seed(config.seed, "bg", j),
-        ).start(delay=0.0005 * (j + 1))
-
-
-def _close_the_loop(
-    config: FabricExpConfig,
-    net: FabricNetwork,
-    entries: dict[Any, tuple[str, str]],
-    victim: Any,
-    failed_link: str,
-    duration_s: float,
-    telemetry: Any = None,
-) -> dict[str, Any]:
-    """Shared closed-loop body: monitors everywhere, one failure, reroute."""
-    sim = net.sim
-    for entry, (src, dst) in entries.items():
+    bg = {f"bg/{j}": pairs[j % len(pairs)]
+          for j in range(config.background_entries)}
+    for entry, (src, dst) in [*entries.items(), *bg.items()]:
         net.add_entry(entry, src, dst)
-    bg = _bg_entries(config, entries)
-    for entry, (src, dst) in bg.items():
-        net.add_entry(entry, src, dst)
-    use_fluid = bool(bg) and (config.fluid or fastpath.CONFIG.fluid)
 
     fancy = FancyConfig(
         high_priority=list(entries),
@@ -223,57 +124,75 @@ def _close_the_loop(
         seed=stable_seed(config.seed, "fabric-exp", bits=31),
     )
     if not config.tree:
-        # Dedicated counters only: 64 cheap sessions.
+        # Dedicated counters only: one cheap session per link.
         fancy = replace(fancy, tree_params=None)
-    deployment = FabricDeployment(net, config=fancy, telemetry=telemetry)
-    controller = FabricRerouteController(
-        net, deployment, poll_interval_s=config.poll_interval_s)
+    deployment = FabricDeployment(net, config=fancy, telemetry=telemetry,
+                                  links=None if link is None else [link])
+    controller = None
+    if link is None:
+        controller = FabricRerouteController(
+            net, deployment, poll_interval_s=config.poll_interval_s)
 
-    a, b = net.endpoints(failed_link)
-    net.link(a, b).loss_model = EntryLossFailure(
+    failed_link, victim = plan["failed_link"], plan["victim"]
+    net.links[failed_link].loss_model = EntryLossFailure(
         {victim}, config.loss_rate, start_time=config.failure_time_s,
         seed=stable_seed(config.seed, "failure", failed_link, bits=31),
     )
-    if telemetry is not None:
-        # The experiment harness is the root cause here: open the failed
-        # link's detection episode exactly when the loss model activates,
-        # and log the injection on that fork's timeline.
-        fork = deployment.monitors[failed_link].telemetry
-
-        def _mark_failure() -> None:
-            fork.timeline.record(sim.now, failed_link, "failure_injected",
-                                 entry=victim)
-            fork.traces.begin_episode(
-                sim.now, cause="fault", name="entry_loss", link=failed_link,
-                entry=victim, rate=config.loss_rate)
-
-        sim.schedule_at(config.failure_time_s, _mark_failure)
+    # The experiment harness is the root cause here: the failed link's
+    # episode opens exactly when the loss model activates.
+    open_fault_episode(deployment, failed_link, config.failure_time_s,
+                       "entry_loss", injected_entry=victim, entry=victim,
+                       rate=config.loss_rate)
 
     meters: dict[str, ThroughputMeter] = {}
-    for entry, (src, dst) in entries.items():
-        if dst not in meters:
-            meters[dst] = ThroughputMeter(sim, bin_s=config.bin_s,
-                                          per_entry=True)
-            net.host(dst).rx_tap = meters[dst]
+    if link is None:
+        for _src, dst in entries.values():
+            if dst not in meters:
+                meters[dst] = ThroughputMeter(net.sim, bin_s=config.bin_s,
+                                              per_entry=True)
+                net.host(dst).rx_tap = meters[dst]
+
+    def crosses(entry: Any, flow_id: int, packet_size: int) -> bool:
+        return link is None or egress_legs(net, entry, flow_id, link,
+                                           packet_size) is not None
+
     for i, entry in enumerate(entries):
-        src, _dst = entries[entry]
-        UdpSource(
-            sim, net.host(src).send, entry, flow_id=i,
-            rate_bps=config.rate_bps, packet_size=config.packet_size,
-            jitter=0.1, seed=stable_seed(config.seed, "src", i),
-        ).start(delay=0.001 * i)
-    fluid_engine = None
-    if use_fluid:
-        fluid_engine = _bind_fluid_background(config, net, deployment, bg)
-    elif bg:
-        _start_background_sources(config, net, bg)
+        if crosses(entry, i, config.packet_size):
+            start_udp(net, entry, i, config.rate_bps, config.packet_size,
+                      stable_seed(config.seed, "src", i), 0.001 * i)
+    fluid = None
+    if bg and config.fluid:
+        loss_seeds = {lid: link_seed if link is not None else
+                      stable_seed(config.seed, "fluid-loss", lid, bits=31)
+                      for lid in deployment.monitors}
+        fluid = bind_fluid(
+            deployment, {entry: config.background_rate_bps for entry in bg},
+            packet_size=config.background_packet_size, seed=config.seed,
+            tag="bg", loss_seeds=loss_seeds, flow_base=_BG_FLOW_BASE)
+    else:
+        for j, entry in enumerate(bg):
+            if crosses(entry, _BG_FLOW_BASE + j, config.background_packet_size):
+                start_udp(net, entry, _BG_FLOW_BASE + j,
+                          config.background_rate_bps,
+                          config.background_packet_size,
+                          stable_seed(config.seed, "bg", j), 0.0005 * (j + 1))
 
-    deployment.start(stagger_s=0.001)
-    controller.start()
-    sim.run(until=duration_s)
+    start_staggered(deployment)
+    if controller is not None:
+        controller.start()
+    net.sim.run(until=plan["duration_s"])
+    return plan, deployment, controller, meters, fluid
 
-    victim_dst = entries[victim][1]
-    series = meters[victim_dst].entry_series_bps(victim)
+
+def _close_the_loop(case: str, config: FabricExpConfig,
+                    telemetry: Any = None) -> dict[str, Any]:
+    """Closed-loop case: monitors everywhere, one failure, reroute."""
+    plan, deployment, controller, meters, fluid = _run_case(
+        case, config, telemetry)
+    sim = deployment.net.sim
+    failed_link, victim = plan["failed_link"], plan["victim"]
+    duration_s = plan["duration_s"]
+    series = meters[plan["entries"][victim][1]].entry_series_bps(victim)
     detect_at = _first_flag_time(deployment, failed_link, victim)
     reroute_at = controller.reroute_times.get((failed_link, victim))
     pre = _mean_bps(series, 0.3, config.failure_time_s)
@@ -310,8 +229,8 @@ def _close_the_loop(
             deployment.sessions_completed().values()),
         "detections": deployment.detection_records(),
         "events_processed": sim.events_processed,
-        "fluid_absorbed": fluid_engine.absorbed if fluid_engine else 0,
-        "fluid_lost": fluid_engine.lost if fluid_engine else 0,
+        "fluid_absorbed": fluid.absorbed if fluid else 0,
+        "fluid_lost": fluid.lost if fluid else 0,
         "obs": obs,
     }
 
@@ -324,10 +243,11 @@ def _build_net(case: str, config: FabricExpConfig) -> FabricNetwork:
 
 
 def _case_plan(case: str, config: FabricExpConfig) -> dict[str, Any]:
-    """Entries / victim / failed link for a case — the pure-data half.
+    """Entries / victim / failed link / horizon for a case.
 
-    Shared by the closed-loop runners and the sharded per-link probes so
-    both observe the *same* fabric scenario for a given config.
+    The one source of a case's scenario and horizon: the closed loop,
+    the sharded per-link probes and the job ``sim_s`` estimates all read
+    it, so every run of a config observes the *same* fabric scenario.
     """
     if case == "ring":
         # s0 → s2 has a unique two-hop shortest path, so the failed link
@@ -362,23 +282,13 @@ def _case_plan(case: str, config: FabricExpConfig) -> dict[str, Any]:
 def run_ring_case(config: Optional[FabricExpConfig] = None,
                   telemetry: Any = None) -> dict[str, Any]:
     """Ring closed loop: failure on the victim path, Figure 10 contract."""
-    config = config or FabricExpConfig()
-    plan = _case_plan("ring", config)
-    return _close_the_loop(config, _build_net("ring", config),
-                           plan["entries"], plan["victim"],
-                           plan["failed_link"], plan["duration_s"],
-                           telemetry=telemetry)
+    return _close_the_loop("ring", config or FabricExpConfig(), telemetry)
 
 
 def run_fat_tree_case(config: Optional[FabricExpConfig] = None,
                       telemetry: Any = None) -> dict[str, Any]:
     """Fat-tree closed loop: ≥32 concurrent sessions, per-link attribution."""
-    config = config or FabricExpConfig()
-    plan = _case_plan("fat_tree", config)
-    return _close_the_loop(config, _build_net("fat_tree", config),
-                           plan["entries"], plan["victim"],
-                           plan["failed_link"], plan["duration_s"],
-                           telemetry=telemetry)
+    return _close_the_loop("fat_tree", config or FabricExpConfig(), telemetry)
 
 
 def _case_worker(payload: tuple) -> dict[str, Any]:
@@ -389,23 +299,25 @@ def _case_worker(payload: tuple) -> dict[str, Any]:
         from ..telemetry import Telemetry
 
         telemetry = Telemetry(scope=case)
-    runner = run_ring_case if case == "ring" else run_fat_tree_case
-    return runner(config, telemetry=telemetry)
+    return _close_the_loop(case, config, telemetry)
+
+
+def _resolve(config: Optional[FabricExpConfig], quick: bool) -> FabricExpConfig:
+    """The given (or default) config, cut to the quick horizons if asked."""
+    config = config or FabricExpConfig()
+    return replace(config, duration_s=3.0, fat_tree_duration_s=2.0) if quick else config
 
 
 def run(config: Optional[FabricExpConfig] = None, quick: bool = True,
         runtime: Optional[RuntimeContext] = None,
         cases: tuple[str, ...] = ("ring", "fat_tree")) -> dict:
-    config = config or FabricExpConfig()
-    if quick:
-        config = replace(config, duration_s=3.0, fat_tree_duration_s=2.0)
+    config = _resolve(config, quick)
     jobs = [
         Job(
             key=case,
             payload=(case, config),
             fingerprint=fingerprint("fabric", config, case),
-            sim_s=(config.duration_s if case == "ring"
-                   else config.fat_tree_duration_s),
+            sim_s=_case_plan(case, config)["duration_s"],
         )
         for case in cases
     ]
@@ -425,112 +337,16 @@ def _link_probe(case: str, config: FabricExpConfig, link_id: str,
                 link_seed: int) -> dict[str, Any]:
     """One link's detection probe — a pure function of (config, case, link).
 
-    The sharding unit (docs/FABRIC.md): the probe rebuilds the case
-    scenario on a fresh simulator, monitors exactly one link, installs
-    the planned failure, and simulates only the flows whose ECMP path
-    crosses the monitored link.  Detection-focused by design — no
-    reroute controller, no goodput meters.  Nothing in here depends on
-    which shard (or how many shards) the probe runs under: that is the
-    ``--shards 1/2/4`` byte-equality contract.
+    Detection-focused by design — no reroute controller, no goodput
+    meters.  Nothing in here depends on which shard (or how many shards)
+    the probe runs under: that is the ``--shards 1/2/4`` byte-equality
+    contract.
     """
     from ..telemetry import Telemetry
 
-    plan = _case_plan(case, config)
-    net = _build_net(case, config)
-    sim = net.sim
-    entries = plan["entries"]
-    for entry, (src, dst) in entries.items():
-        net.add_entry(entry, src, dst)
-    bg = _bg_entries(config, entries)
-    for entry, (src, dst) in bg.items():
-        net.add_entry(entry, src, dst)
-
-    fancy = FancyConfig(
-        high_priority=list(entries),
-        dedicated_session_s=config.dedicated_session_s,
-        seed=stable_seed(config.seed, "fabric-exp", bits=31),
-    )
-    if not config.tree:
-        fancy = replace(fancy, tree_params=None)
-    telemetry = Telemetry(scope=link_id)
-    deployment = FabricDeployment(net, config=fancy, links=[link_id],
-                                  telemetry=telemetry)
-
-    # The planned failure is installed in *every* probe (whether or not
-    # it hits the monitored link): all probes observe the same fabric.
-    fa, fb = net.endpoints(plan["failed_link"])
-    net.link(fa, fb).loss_model = EntryLossFailure(
-        {plan["victim"]}, config.loss_rate,
-        start_time=config.failure_time_s,
-        seed=stable_seed(config.seed, "failure", plan["failed_link"],
-                         bits=31),
-    )
-    if link_id == plan["failed_link"]:
-        fork = deployment.monitors[link_id].telemetry
-        victim = plan["victim"]
-
-        def _mark_failure() -> None:
-            fork.timeline.record(sim.now, link_id, "failure_injected",
-                                 entry=victim)
-            fork.traces.begin_episode(
-                sim.now, cause="fault", name="entry_loss", link=link_id,
-                entry=victim, rate=config.loss_rate)
-
-        sim.schedule_at(config.failure_time_s, _mark_failure)
-
-    # Sources: identical parameters and seeds to the full run, but only
-    # the flows that actually cross the monitored link.
-    ma, mb = net.endpoints(link_id)
-    for i, entry in enumerate(entries):
-        src, dst = entries[entry]
-        if _fluid_legs(net, net.flow_path(entry, i), ma, mb,
-                       config.packet_size) is None:
-            continue
-        net.host(dst)
-        UdpSource(
-            sim, net.host(src).send, entry, flow_id=i,
-            rate_bps=config.rate_bps, packet_size=config.packet_size,
-            jitter=0.1, seed=stable_seed(config.seed, "src", i),
-        ).start(delay=0.001 * i)
-    fluid_engine = None
-    if bg and (config.fluid or fastpath.CONFIG.fluid):
-        fluid_engine = _bind_fluid_background(
-            config, net, deployment, bg, loss_seed_override=link_seed)
-    elif bg:
-        crossing = {
-            _BG_FLOW_BASE + j
-            for j, entry in enumerate(bg)
-            if _fluid_legs(net, net.flow_path(entry, _BG_FLOW_BASE + j),
-                           ma, mb, config.background_packet_size) is not None
-        }
-        _start_background_sources(config, net, bg, only_flow_ids=crossing)
-
-    # Stagger by the link's position in the full deployment order, so a
-    # probe's session boundaries match the link's in an unsharded run.
-    pos = net.directed_link_ids().index(link_id)
-    deployment.monitors[link_id].start(delay=pos * 0.001)
-    sim.run(until=plan["duration_s"])
-
-    monitor = deployment.monitors[link_id]
-    monitor.telemetry.traces.finalize(sim.now)
-    return {
-        "link": link_id,
-        "detections": deployment.detection_records(),
-        "metrics": telemetry.metrics.snapshot(),
-        "spans": monitor.telemetry.traces.span_dicts(),
-        "sessions_completed": deployment.sessions_completed()[link_id],
-        "events_processed": sim.events_processed,
-        "fluid_absorbed": fluid_engine.absorbed if fluid_engine else 0,
-    }
-
-
-def _shard_worker(payload: tuple) -> dict[str, Any]:
-    """Top-level (picklable) shard executor: one probe per assigned link."""
-    case, config, links, link_seeds = payload
-    return {
-        link_id: _link_probe(case, config, link_id, link_seed)
-        for link_id, link_seed in zip(links, link_seeds)
-    }
+    _plan, deployment, _controller, _meters, fluid = _run_case(
+        case, config, Telemetry(scope=link_id), link_id, link_seed)
+    return link_payload(deployment, link_id, fluid)
 
 
 def run_sharded(config: Optional[FabricExpConfig] = None,
@@ -539,42 +355,24 @@ def run_sharded(config: Optional[FabricExpConfig] = None,
                 quick: bool = True) -> dict[str, Any]:
     """Detection-focused fabric run, sharded across worker processes.
 
-    Partitions the case's directed links into ``shards`` batches
-    (:func:`repro.fabric.sharding.plan_shards`), runs one per-link probe
-    simulation per monitored link under :func:`~repro.runtime.run_sweep`
-    workers, and merges the per-link payloads deterministically — the
-    merged detection records, Prometheus text and trace JSONL are
-    byte-identical for any shard/worker count.
+    Runs one per-link probe simulation per directed link of the case
+    through :func:`repro.fabric.sharding.run_link_shards` and merges the
+    per-link payloads deterministically — the merged detection records,
+    Prometheus text and trace JSONL are byte-identical for any
+    shard/worker count.
     """
-    from ..fabric.sharding import merge_link_results, plan_shards
+    from ..fabric.sharding import merge_link_results, run_link_shards
 
-    config = config or FabricExpConfig()
-    if quick:
-        config = replace(config, duration_s=3.0, fat_tree_duration_s=2.0)
-    link_ids = _build_net(case, config).directed_link_ids()
-    specs = plan_shards(link_ids, shards, seed=config.seed)
-    duration = (config.duration_s if case == "ring"
-                else config.fat_tree_duration_s)
-    jobs = [
-        Job(
-            key=f"shard-{spec.index}",
-            payload=(case, config, spec.links, spec.link_seeds),
-            fingerprint=fingerprint("fabric-shard", config, case, spec.links),
-            sim_s=duration * len(spec.links),
-        )
-        for spec in specs
-    ]
-    sweep = run_sweep(jobs, _shard_worker, runtime=resolve(runtime),
-                      label=f"fabric-shard[{case}]")
-    # A silently missing shard would merge into a plausible-but-wrong
-    # result (fewer links, fewer detections) — insist on completeness.
-    sweep.require_ok(f"fabric-shard[{case}]")
-    per_link: dict[str, dict[str, Any]] = {}
-    for spec in specs:
-        per_link.update(sweep.results[f"shard-{spec.index}"])
+    config = _resolve(config, quick)
+    per_link, n_shards = run_link_shards(
+        _link_probe, (case, config),
+        _build_net(case, config).directed_link_ids(), shards,
+        seed=config.seed, fingerprint_parts=("fabric-shard", config, case),
+        sim_s=_case_plan(case, config)["duration_s"],
+        label=f"fabric-shard[{case}]", runtime=runtime)
     merged = merge_link_results(per_link)
     merged["case"] = case
-    merged["shards"] = len(specs)
+    merged["shards"] = n_shards
     return merged
 
 

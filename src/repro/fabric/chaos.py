@@ -44,12 +44,14 @@ from ..simulator.udp import UdpSource
 from .builders import ring
 from .deployment import FabricDeployment
 from .graph import FabricNetwork
+from .scenario import open_fault_episode, start_udp
 
 __all__ = [
     "LINK_TARGET_PREFIX",
     "link_target",
     "parse_link_target",
     "as_directional",
+    "fault_start",
     "FabricMaterialized",
     "materialize_on_fabric",
     "FabricSoakConfig",
@@ -122,7 +124,10 @@ def materialize_on_fabric(
                 f"{spec.target!r} (use link_target(a, b))")
         net.endpoints(link_id)  # validate early: unknown links fail loudly
         seed = stable_seed(base_seed, "fault", spec.index)
-        _schedule_fault_episode(net, deployment, link_id, spec)
+        if deployment is not None:
+            open_fault_episode(deployment, link_id, fault_start(spec),
+                               spec.kind, target=spec.target,
+                               index=spec.index, params=spec.params)
         if spec.kind in ("entry_loss", "uniform_loss", "control_loss"):
             out.losses.setdefault(link_id, []).append(build_loss(spec, seed))
         elif spec.kind == "switch_restart":
@@ -145,39 +150,13 @@ def materialize_on_fabric(
     return out
 
 
-def _fault_start(spec: FaultSpec) -> float:
+def fault_start(spec: FaultSpec) -> float:
     """Activation time of a fault spec (``start``/``time`` param, else 0)."""
     for key in ("start", "time"):
         value = spec.params.get(key)
         if value is not None:
             return float(value)
     return 0.0
-
-
-def _schedule_fault_episode(net: FabricNetwork,
-                            deployment: FabricDeployment | None,
-                            link_id: str, spec: FaultSpec) -> None:
-    """Open a detection-trace episode when the fault activates.
-
-    The chaos harness is the only actor that knows the *root cause*, so
-    it roots each trace: the episode opens at the fault's start time on
-    the faulted link's trace collector, and every span the monitor emits
-    afterwards (divergence → zoom → flag → reroute) hangs under it.
-    No-op when the link is unmonitored or telemetry is off.
-    """
-    if deployment is None:
-        return
-    monitor = deployment.monitors.get(link_id)
-    if monitor is None:
-        return
-    traces = getattr(monitor.telemetry, "traces", None)
-    if traces is None:
-        return
-    net.sim.schedule_at(
-        _fault_start(spec),
-        lambda: traces.begin_episode(
-            net.sim.now, cause="fault", name=spec.kind, link=link_id,
-            target=spec.target, index=spec.index, params=spec.params))
 
 
 # -- the ring soak -------------------------------------------------------------
@@ -290,12 +269,8 @@ def fabric_soak(config: FabricSoakConfig,
 
     sources: list[UdpSource] = []
     for i, entry in enumerate(dedicated + best_effort):
-        source = UdpSource(
-            sim, net.host(src).send, entry, flow_id=i,
-            rate_bps=config.rate_bps, packet_size=config.packet_size,
-            jitter=0.1, seed=stable_seed(config.seed, "src", i),
-        )
-        source.start(delay=0.001 * i)
+        source = start_udp(net, entry, i, config.rate_bps, config.packet_size,
+                           stable_seed(config.seed, "src", i), 0.001 * i)
         sources.append(source)
         sim.schedule_at(config.duration_s, source.stop)
 

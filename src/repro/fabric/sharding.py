@@ -26,20 +26,24 @@ Three pieces enforce that contract:
   sorted input), trace spans concatenated then serialized once — so the
   Prometheus text and trace JSONL are byte-identical for any worker or
   shard count.
+
+:func:`run_link_shards` is the one runner over per-link probes: the
+fabric experiment's ``run_sharded`` and the serve soak's ``run_serve``
+both hand it their probe function and merge what it returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from ..obs.trace import spans_to_jsonl
-from ..runtime import stable_seed
+from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
 from ..telemetry.export import to_prometheus
 from ..telemetry.registry import merge_snapshots
 
-__all__ = ["ShardSpec", "plan_shards", "merge_link_results"]
+__all__ = ["ShardSpec", "plan_shards", "run_link_shards", "merge_link_results"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,46 @@ def plan_shards(link_ids: Sequence[str], n_shards: int,
         )
         specs.append(ShardSpec(index=index, links=links, link_seeds=seeds))
     return specs
+
+
+def run_link_shards(probe: Callable[..., dict[str, Any]], args: tuple[Any, ...],
+                    link_ids: Sequence[str], shards: int, *, seed: int,
+                    fingerprint_parts: tuple[Any, ...], sim_s: float, label: str,
+                    runtime: RuntimeContext | None = None,
+                    ) -> tuple[dict[str, dict[str, Any]], int]:
+    """Run module-level ``probe(*args, link_id, link_seed)`` for every link.
+
+    One :func:`~repro.runtime.run_sweep` job per :func:`plan_shards`
+    batch, cached under ``fingerprint(*fingerprint_parts, links)``;
+    returns the payloads by link id and the number of shards run.
+    """
+    specs = plan_shards(link_ids, shards, seed=seed)
+    jobs = [
+        Job(
+            key=f"shard-{spec.index}",
+            payload=(probe, args, spec.links, spec.link_seeds),
+            fingerprint=fingerprint(*fingerprint_parts, spec.links),
+            sim_s=sim_s * len(spec.links),
+        )
+        for spec in specs
+    ]
+    sweep = run_sweep(jobs, _probe_shard, runtime=resolve(runtime), label=label)
+    # A silently missing shard would merge into a plausible-but-wrong
+    # result (fewer links, fewer detections) — insist on completeness.
+    sweep.require_ok(label)
+    per_link: dict[str, dict[str, Any]] = {}
+    for job in jobs:
+        per_link.update(sweep.results[job.key])
+    return per_link, len(specs)
+
+
+def _probe_shard(payload: tuple[Any, ...]) -> dict[str, dict[str, Any]]:
+    """Top-level (picklable) shard executor: one probe per assigned link."""
+    probe, args, links, link_seeds = payload
+    return {
+        link_id: probe(*args, link_id, link_seed)
+        for link_id, link_seed in zip(links, link_seeds)
+    }
 
 
 def _as_record(record: Iterable[Any]) -> tuple[Any, ...]:

@@ -32,27 +32,29 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..chaos.invariants import Violation
 from ..chaos.schedule import FaultSpec
 from ..core.detector import FancyConfig
 from ..core.hashtree import HashTreeParams
 from ..fabric.builders import ring
 from ..fabric.chaos import (
     as_directional,
+    fault_start,
     link_target,
     materialize_on_fabric,
     parse_link_target,
 )
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
-from ..fabric.sharding import merge_link_results, plan_shards
+from ..fabric.scenario import bind_fluid, link_payload, open_fault_episode, start_staggered
+from ..fabric.sharding import merge_link_results, run_link_shards
 from ..obs.health import FabricHealthReport
-from ..runtime import Job, RuntimeContext, fingerprint, resolve, run_sweep, stable_seed
+from ..runtime import RuntimeContext, stable_seed
 from ..simulator.engine import Simulator
-from ..simulator.fluid import FluidFlow, FluidTraffic
 from ..telemetry import Telemetry
 from ..traffic.zipf import assign_rates, sample_zipf_ranks
 from .ladder import attach_ladder
@@ -269,29 +271,6 @@ def _directional_schedule(link_id: str,
     return out
 
 
-def _delay_legs(net: FabricNetwork, path: list[str], a: str, b: str,
-                packet_size: int) -> Optional[tuple[float, ...]]:
-    """Host→monitored-egress delay chain, or None when a→b is off-path.
-
-    Mirrors the discrete pipeline hop for hop (access delay, then
-    serialize+propagate per crossed link) so fluid arrivals land on the
-    exact floats the packet model would produce.
-    """
-    try:
-        idx = path.index(a)
-    except ValueError:
-        return None
-    if idx + 1 >= len(path) or path[idx + 1] != b:
-        return None
-    legs: list[float] = [net.access_delay_s]
-    for i in range(idx):
-        link = net.link(path[i], path[i + 1])
-        if link.bandwidth_bps:
-            legs.append(packet_size * 8 / link.bandwidth_bps)
-        legs.append(link.delay_s)
-    return tuple(legs)
-
-
 # -- the per-link probe --------------------------------------------------------
 
 
@@ -325,7 +304,6 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     for entry in all_entries:
         src, dst = _entry_endpoints(entry, config.ring_size)
         net.add_entry(entry, src, dst)
-        net.host(dst)  # materialize sinks before traffic arrives
 
     fancy = FancyConfig(
         high_priority=list(rotations[0][1]),
@@ -345,8 +323,15 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
                                          deployment)
     a, b = net.endpoints(link_id)
     reverse_id = f"{b}->{a}"
-    _schedule_reverse_episodes(net, monitor, link_id, reverse_id, schedule,
-                               config)
+    # materialize_on_fabric roots episodes only on the faulted link's own
+    # monitor; a fault on the *reverse* wire impairs this monitor just the
+    # same, so root one here too, closed after ``trace_window_s``.
+    for spec in schedule:
+        if parse_link_target(spec.target) == reverse_id:
+            open_fault_episode(
+                deployment, link_id, fault_start(spec), spec.kind,
+                window_s=config.trace_window_s, target=spec.target,
+                index=spec.index, params=spec.params)
 
     ladder = attach_ladder(
         monitor, link_id=link_id,
@@ -364,25 +349,9 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         chaos_models=materialized.chaos_models_for(link_id, reverse_id))
     supervisor.start()
 
-    # -- fluid flows crossing this link, grouped by delay chain -------------
-    engine = FluidTraffic(sim)
-    for i, (entry, rate) in enumerate(flow_rates.items()):
-        engine.add_flow(FluidFlow(
-            entry=entry, flow_id=i, rate_bps=rate,
-            packet_size=config.packet_size, jitter=0.1,
-            seed=stable_seed(config.seed, "flow", i),
-            start_s=0.0005 * (i + 1),
-        ))
-    by_legs: dict[tuple[float, ...], list[FluidFlow]] = {}
-    for flow in engine.flows:
-        path = net.flow_path(flow.entry, flow.flow_id)
-        legs = _delay_legs(net, path, a, b, flow.packet_size)
-        if legs is not None:
-            by_legs.setdefault(legs, []).append(flow)
-    for legs, flows in by_legs.items():
-        engine.bind_monitor(monitor, flows, legs,
-                            loss_model=net.link(a, b).loss_model,
-                            loss_seed=link_seed)
+    engine = bind_fluid(deployment, flow_rates, packet_size=config.packet_size,
+                        seed=config.seed, tag="flow",
+                        loss_seeds={link_id: link_seed})
 
     # -- entry churn on the rotation grid -----------------------------------
     def _rotate(entries: tuple[str, ...]) -> None:
@@ -394,16 +363,13 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     for t, entries in rotations[1:]:
         sim.schedule_at(t, _rotate, entries)
 
-    # Stagger by position in the full link order, so session boundaries
-    # match what an all-links deployment would produce.
-    pos = net.directed_link_ids().index(link_id)
-    monitor.start(delay=pos * 0.001)
+    start_staggered(deployment)
 
     # -- run with health snapshots on the health grid -----------------------
     def _snapshot(t: float, label: str) -> dict[str, Any]:
         report = FabricHealthReport.from_deployment(
             deployment, sim_time=t, ladders={link_id: ladder},
-            breaches={link_id: _breach_counts(observer.breaches)})
+            breaches={link_id: _tally(v.invariant for v in observer.breaches)})
         row = report.links[0].to_dict()
         return {"t": t, "label": label, "link": row}
 
@@ -421,18 +387,9 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     sim.run()
     supervisor.finalize(horizon=config.duration_s)
     snapshots.append(_snapshot(config.duration_s, "final"))
-    traces = getattr(monitor.telemetry, "traces", None)
-    if traces is not None:
-        traces.finalize(sim.now)
 
     return {
-        "link": link_id,
-        "detections": deployment.detection_records(),
-        "metrics": telemetry.metrics.snapshot(),
-        "spans": monitor.telemetry.traces.span_dicts(),
-        "sessions_completed": deployment.sessions_completed()[link_id],
-        "events_processed": sim.events_processed,
-        "fluid_absorbed": engine.absorbed,
+        **link_payload(deployment, link_id, engine),
         "snapshots": snapshots,
         "violations": [v.to_dict() for v in observer.breaches],
         "ladder": {
@@ -447,55 +404,12 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     }
 
 
-def _breach_counts(breaches: list[Violation]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for violation in breaches:
-        counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def _schedule_reverse_episodes(net: FabricNetwork, monitor: Any,
-                               link_id: str, reverse_id: str,
-                               schedule: list[FaultSpec],
-                               config: ServeConfig) -> None:
-    """Open bounded trace episodes for faults on the reverse channel.
-
-    ``materialize_on_fabric`` roots episodes only on the faulted link's
-    own monitor; a control-channel fault on the *reverse* wire impairs
-    this monitor just the same, so the serve roots one here too.  The
-    episode closes after ``trace_window_s`` — long enough to capture the
-    ladder stepping and the absorbed exhaustions, bounded so a day-long
-    grey fault doesn't record a day of control chatter.
-    """
-    traces = getattr(monitor.telemetry, "traces", None)
-    if traces is None:
-        return
-    for spec in schedule:
-        if parse_link_target(spec.target) != reverse_id:
-            continue
-        start = float(spec.params.get("start") or spec.params.get("time")
-                      or 0.0)
-
-        def _open(spec: FaultSpec = spec, start: float = start) -> None:
-            traces.begin_episode(
-                net.sim.now, cause="fault", name=spec.kind, link=link_id,
-                target=spec.target, index=spec.index, params=spec.params)
-            net.sim.schedule(config.trace_window_s,
-                             lambda: traces.end_episode(net.sim.now))
-
-        net.sim.schedule_at(start, _open)
+def _tally(keys: Iterable[str]) -> dict[str, int]:
+    """Occurrences per key, in sorted key order."""
+    return dict(sorted(Counter(keys).items()))
 
 
 # -- sharded execution and merge -----------------------------------------------
-
-
-def _serve_shard_worker(payload: tuple) -> dict[str, Any]:
-    """Top-level (picklable) shard executor: one probe per assigned link."""
-    config, schedule, links, link_seeds = payload
-    return {
-        link_id: _serve_probe(config, schedule, link_id, link_seed)
-        for link_id, link_seed in zip(links, link_seeds)
-    }
 
 
 def _merge_health(per_link: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
@@ -513,13 +427,10 @@ def _merge_health(per_link: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
     for i in range(depth):
         first = per_link[ordered[0]]["snapshots"][i]
         rows = [per_link[lid]["snapshots"][i]["link"] for lid in ordered]
-        status: dict[str, int] = {}
-        for row in rows:
-            status[row["status"]] = status.get(row["status"], 0) + 1
         merged.append({
             "t": first["t"],
             "label": first["label"],
-            "status": dict(sorted(status.items())),
+            "status": _tally(row["status"] for row in rows),
             "links": rows,
         })
     return merged
@@ -539,38 +450,21 @@ def run_serve(config: Optional[ServeConfig] = None,
     config = config or ServeConfig()
     if schedule is None:
         schedule = default_serve_schedule(config)
-    link_ids = FabricNetwork(Simulator(),
-                             ring(config.ring_size)).directed_link_ids()
-    specs = plan_shards(link_ids, shards, seed=config.seed)
-    jobs = [
-        Job(
-            key=f"serve-{spec.index}",
-            payload=(config, schedule, spec.links, spec.link_seeds),
-            fingerprint=fingerprint(
-                "serve", config, [s.to_dict() for s in schedule], spec.links),
-            sim_s=config.duration_s * len(spec.links),
-        )
-        for spec in specs
-    ]
-    sweep = run_sweep(jobs, _serve_shard_worker, runtime=resolve(runtime),
-                      label="serve")
-    sweep.require_ok("serve")
-    per_link: dict[str, dict[str, Any]] = {}
-    for spec in specs:
-        per_link.update(sweep.results[f"serve-{spec.index}"])
-
+    per_link, n_shards = run_link_shards(
+        _serve_probe, (config, schedule),
+        FabricNetwork(Simulator(), ring(config.ring_size)).directed_link_ids(),
+        shards, seed=config.seed,
+        fingerprint_parts=("serve", config, [s.to_dict() for s in schedule]),
+        sim_s=config.duration_s, label="serve", runtime=runtime)
     merged = merge_link_results(per_link)
     ordered = merged["links"]
     snapshots = _merge_health(per_link)
     violations = [v for lid in ordered for v in per_link[lid]["violations"]]
-    breach_totals: dict[str, int] = {}
-    for violation in violations:
-        inv = violation["invariant"]
-        breach_totals[inv] = breach_totals.get(inv, 0) + 1
+    breaches = _tally(v["invariant"] for v in violations)
     ladder_states = {lid: per_link[lid]["ladder"]["state"] for lid in ordered}
     health_json = json.dumps(
         {"snapshots": snapshots, "ladder_states": ladder_states,
-         "breaches": dict(sorted(breach_totals.items()))},
+         "breaches": breaches},
         sort_keys=True)
 
     return ServeResult(
@@ -578,7 +472,7 @@ def run_serve(config: Optional[ServeConfig] = None,
         links=list(ordered),
         snapshots=snapshots,
         ladder_states=ladder_states,
-        breaches=dict(sorted(breach_totals.items())),
+        breaches=breaches,
         violations=violations,
         detections=merged["detections"],
         sessions_completed=merged["sessions_completed"],
@@ -589,5 +483,5 @@ def run_serve(config: Optional[ServeConfig] = None,
         health_json=health_json,
         events_processed=merged["events_processed"],
         fluid_absorbed=merged["fluid_absorbed"],
-        shards=len(specs),
+        shards=n_shards,
     )

@@ -38,10 +38,10 @@ __all__ = ["CONFIG", "FastPathConfig", "configure", "scoped", "reference"]
 class FastPathConfig:
     """Mutable global switchboard for the simulator fast paths."""
 
-    __slots__ = ("fused_links", "packet_pool", "fluid")
+    __slots__ = ("fused_links", "packet_pool")
 
-    def __init__(self, fused_links: bool = True, packet_pool: bool = False,
-                 fluid: bool = False) -> None:
+    def __init__(self, fused_links: bool = True,
+                 packet_pool: bool = False) -> None:
         #: Collapse serialize->propagate->deliver into one event on
         #: uncontended links (falls back to the full path under contention
         #: or telemetry/tracing instrumentation).
@@ -49,22 +49,13 @@ class FastPathConfig:
         #: Recycle Packet objects through a free list; sinks release
         #: consumed packets back to the pool.
         self.packet_pool = packet_pool
-        #: Model open-loop background UDP as fluid rate segments feeding
-        #: counters at protocol exchange boundaries instead of per-packet
-        #: events (repro.simulator.fluid).  Consulted by experiments when
-        #: choosing how to source background traffic; discrete packets
-        #: (protocol/control/TCP/flagged entries) are never affected —
-        #: the equivalence suite runs its discrete scenarios under
-        #: ``fluid=True`` to pin that down.
-        self.fluid = fluid
 
     def snapshot(self) -> dict[str, bool]:
-        return {"fused_links": self.fused_links, "packet_pool": self.packet_pool,
-                "fluid": self.fluid}
+        return {"fused_links": self.fused_links, "packet_pool": self.packet_pool}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FastPathConfig(fused_links={self.fused_links}, "
-                f"packet_pool={self.packet_pool}, fluid={self.fluid})")
+                f"packet_pool={self.packet_pool})")
 
 
 #: The process-wide configuration consulted by Link and Packet.
@@ -74,7 +65,6 @@ CONFIG = FastPathConfig()
 def configure(
     fused_links: bool | None = None,
     packet_pool: bool | None = None,
-    fluid: bool | None = None,
 ) -> dict[str, bool]:
     """Update the global fast-path switches; returns the previous snapshot."""
     from .packet import POOL
@@ -87,8 +77,6 @@ def configure(
         POOL.enabled = packet_pool
         if not packet_pool:
             POOL.drain()
-    if fluid is not None:
-        CONFIG.fluid = fluid
     return previous
 
 
@@ -96,11 +84,9 @@ def configure(
 def scoped(
     fused_links: bool | None = None,
     packet_pool: bool | None = None,
-    fluid: bool | None = None,
 ) -> Iterator[FastPathConfig]:
     """Temporarily reconfigure the fast path (restores on exit)."""
-    previous = configure(fused_links=fused_links, packet_pool=packet_pool,
-                         fluid=fluid)
+    previous = configure(fused_links=fused_links, packet_pool=packet_pool)
     try:
         yield CONFIG
     finally:
@@ -110,5 +96,5 @@ def scoped(
 @contextmanager
 def reference() -> Iterator[FastPathConfig]:
     """Run with every fast path disabled — the reference dataplane."""
-    with scoped(fused_links=False, packet_pool=False, fluid=False) as cfg:
+    with scoped(fused_links=False, packet_pool=False) as cfg:
         yield cfg

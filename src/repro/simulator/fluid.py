@@ -28,11 +28,8 @@ TCP, and flagged-entry traffic stay discrete: a fluid flow whose entry
 gets flagged is handed back to the discrete plane (its counts stop, as
 they would once the rerouting application moves the traffic away).
 
-The :data:`repro.simulator.fastpath.CONFIG` switchboard gains a
-``fluid`` tier; experiments consult it (``fastpath.scoped(fluid=True)``)
-to pick this model for background traffic.  The flag never changes the
-behaviour of discrete packets — the ref-vs-fast bit-equivalence suite
-runs its discrete scenarios under ``fluid=True`` to pin that down.
+Experiments opt in per run (``FabricExpConfig(fluid=True)``, the
+``fabric --fluid`` flag); the serve soak always models its flows this way.
 """
 
 from __future__ import annotations

@@ -36,13 +36,9 @@ from repro.simulator.udp import UdpSource
 from repro.traffic.synthetic import EntrySize
 
 #: The fast-path configurations under test, each compared to "reference".
-#: "fused+fluid" runs the *discrete* scenarios with the fluid tier armed:
-#: the flag only selects the background-traffic model in experiments that
-#: opt in — it must never change the behaviour of discrete packets.
 MODES = {
     "fused": dict(fused_links=True, packet_pool=False),
     "fused+pool": dict(fused_links=True, packet_pool=True),
-    "fused+fluid": dict(fused_links=True, packet_pool=False, fluid=True),
 }
 
 SPECS = {
