@@ -10,6 +10,8 @@ have teeth.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -26,6 +28,27 @@ from repro.chaos.shrink import load_reproducer, shrink, write_reproducer
 from repro.runtime import RuntimeContext
 
 QUICK = SoakConfig(duration_s=4.0, grace_s=2.5)
+
+#: Pinned sha256 of ``json.dumps(run_soak(...).to_dict(), sort_keys=True)``
+#: for the ``QUICK`` config at seeds 0–2.
+GOLDEN_SEEDS = {
+    0: "ed5b329aca331fa89bbeba64a5c6011cce6a5ed4d14f7f314f2d72e4d04bdefc",
+    1: "02de39dbb7acdce25ee08c299b948dc4f8cda976e1c7fe772ad619d423e4f8ed",
+    2: "2eca519afa52a71ce1ab3547b7cb62c0e83302a96f944f8d043ffe2dddfb1ea5",
+}
+#: Same digest for the ``control-plane-grey`` regression fixture.
+GOLDEN_CONTROL_PLANE_GREY = (
+    "b19ea0b2e2d4485c6fb18fc70987d7952e7d9ccc103cbe00a62bfb141801f38b")
+#: sha256 of the *sorted* ``[invariant, time, detail]`` violation list of
+#: the ``stale-session`` fixture (sorted: the order in which checks report
+#: is not part of the contract, the set of violations is).
+GOLDEN_STALE_SESSION = (
+    "3089c0c0ed55bd0304d1e0893b459e1fdcb33e085f1257de1c19f29708fcd356")
+
+
+def _sha256(doc) -> str:
+    text = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +77,24 @@ class TestSoakPasses:
         assert doc["seed"] == 0
         assert [FaultSpec.from_dict(d) for d in doc["schedule"]] \
             == result.schedule
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SEEDS))
+    def test_random_schedule_result_pinned(self, seed):
+        result = run_soak(dataclasses.replace(QUICK, seed=seed))
+        assert _sha256(result.to_dict()) == GOLDEN_SEEDS[seed]
+
+    def test_control_plane_grey_result_pinned(self):
+        config, schedule = regression_scenario("control-plane-grey", QUICK)
+        result = run_soak(config, schedule)
+        assert _sha256(result.to_dict()) == GOLDEN_CONTROL_PLANE_GREY
+
+    def test_stale_session_violations_pinned(self, regression_failure):
+        _config, _schedule, result = regression_failure
+        found = sorted([v.invariant, v.time, v.detail]
+                       for v in result.violations)
+        assert _sha256(found) == GOLDEN_STALE_SESSION
 
 
 class TestRegressionFixture:
