@@ -4,11 +4,9 @@ One soak run builds the canonical two-switch topology, deploys a full
 FANcY monitor (dedicated counters + a small zooming tree), drives
 jittered UDP over a handful of entries, materialises a seeded random
 fault schedule (:mod:`repro.chaos.schedule`), and then checks the
-robustness invariants (:mod:`repro.chaos.invariants`):
-
-* I1 liveness and I2 session monotonicity at every checkpoint;
-* I3 attribution, I4 eventual detection, I5 conservation and
-  I6 corruption integrity once, after the wind-down drain.
+robustness invariants through one
+:class:`~repro.chaos.invariants.LinkInvariantObserver`: its ``tick`` at
+every checkpoint, its ``final`` once, after the wind-down drain.
 
 Wind-down sequence — order matters: traffic stops at ``duration_s``, the
 monitor keeps running through a grace period (late detections of a
@@ -33,25 +31,19 @@ from repro.core.detector import FancyConfig, FancyLinkMonitor
 from repro.core.hashtree import HashTreeParams
 from repro.core.output import FailureKind
 from repro.core.protocol import SenderState
-from repro.runtime import Job, RuntimeContext, run_sweep, stable_seed
+from repro.runtime import DictConfig, Job, RuntimeContext, run_sweep, stable_seed
 from repro.simulator.engine import Simulator
 from repro.simulator.topology import PORT_TO_PEER, TwoSwitchTopology
 from repro.simulator.udp import UdpSource
 
-from .invariants import (
-    SessionTracker,
-    Violation,
-    check_attribution,
-    check_conservation,
-    check_detection,
-    check_integrity,
-    check_liveness,
-)
+from .invariants import LinkInvariantObserver, Violation
 from .schedule import FaultSpec, Materialized, generate_schedule, materialize
 
 __all__ = [
+    "SOAK_TREE",
     "SoakConfig",
     "SoakResult",
+    "soak_entries",
     "run_soak",
     "run_many",
     "soak_worker",
@@ -64,9 +56,12 @@ __all__ = [
 #: control plane revives the FAILED sender FSM.
 _REVIVE_DELAY_S = 0.3
 
+#: The small zooming tree every soak deploys next to the dedicated counters.
+SOAK_TREE = HashTreeParams(width=8, depth=2, split=2, pipelined=True)
+
 
 @dataclass(frozen=True)
-class SoakConfig:
+class SoakConfig(DictConfig):
     """One soak run's knobs (JSON-round-trippable for the reproducer)."""
 
     seed: int = 0
@@ -79,18 +74,10 @@ class SoakConfig:
     packet_size: int = 400
     regression: str | None = None    #: named protocol-regression fixture
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SoakConfig":
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
-                      if f.name in d})
-
 
 @dataclass
 class SoakResult:
-    """Outcome of one soak run."""
+    """Outcome of one soak run (two-switch or fabric)."""
 
     seed: int
     violations: list[Violation]
@@ -149,7 +136,8 @@ def _install_recovery(monitor: FancyLinkMonitor, sim: Simulator,
         sender.on_link_failure = wrapped
 
 
-def _entries(config: SoakConfig) -> tuple[list[str], list[str]]:
+def soak_entries(config: Any) -> tuple[list[str], list[str]]:
+    """``(dedicated, best_effort)`` entry names of a soak config."""
     dedicated = [f"hp/{i}" for i in range(config.n_dedicated)]
     best_effort = [f"be/{i}" for i in range(config.n_best_effort)]
     return dedicated, best_effort
@@ -164,7 +152,7 @@ def run_soak(config: SoakConfig,
     pinned ones.  Everything else (traffic jitter, fault RNGs, hash
     seeds) derives from ``config.seed`` via ``stable_seed``.
     """
-    dedicated, best_effort = _entries(config)
+    dedicated, best_effort = soak_entries(config)
     if schedule is None:
         schedule = generate_schedule(config.seed, config.duration_s,
                                      dedicated, best_effort)
@@ -173,7 +161,7 @@ def run_soak(config: SoakConfig,
     topo = TwoSwitchTopology(sim)
     fancy = FancyConfig(
         high_priority=dedicated,
-        tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
+        tree_params=SOAK_TREE,
         dedicated_session_s=0.050,
         tree_session_s=0.200,
         twait_s=0.015,  # > worst-case forward displacement budget (12 ms)
@@ -200,37 +188,26 @@ def run_soak(config: SoakConfig,
                                              topo, monitor)
     monitor.start(delay=0.005)
 
-    # -- run with periodic I1/I2 checkpoints --------------------------------
-    violations: list[Violation] = []
-    tracker = SessionTracker(monitor)
+    observer = LinkInvariantObserver(
+        monitor, schedule, dedicated, best_effort,
+        [topo.link_ab, topo.link_ba], materialized.chaos_models())
     end = config.duration_s + config.grace_s
     t = config.checkpoint_s
     while t < end - 1e-9:
         sim.run(until=t)
-        violations.extend(check_liveness(monitor, sim.now))
-        violations.extend(tracker.check(monitor, sim.now))
+        observer.tick(sim.now)
         t += config.checkpoint_s
     sim.run(until=end)
-    violations.extend(check_liveness(monitor, sim.now))
-    violations.extend(tracker.check(monitor, sim.now))
+    observer.tick(sim.now)
 
     # -- wind-down: stop, then drain to quiescence --------------------------
     state.stopped = True
     monitor.stop()
     sim.run()  # complete drain: in-flight packets, guarded revivals, etc.
-
-    violations.extend(check_attribution(monitor.log, schedule, monitor,
-                                        dedicated, best_effort))
-    violations.extend(check_detection(monitor.log, schedule, monitor,
-                                      dedicated, best_effort,
-                                      horizon=config.duration_s))
-    violations.extend(check_conservation([topo.link_ab, topo.link_ba],
-                                         sim.now))
-    violations.extend(check_integrity(monitor, materialized.chaos_models(),
-                                      sim.now))
+    observer.final(sim.now, horizon=config.duration_s)
 
     stats = _collect_stats(monitor, topo, materialized, sources, state, sim)
-    return SoakResult(seed=config.seed, violations=violations,
+    return SoakResult(seed=config.seed, violations=observer.breaches,
                       schedule=list(schedule), stats=stats)
 
 

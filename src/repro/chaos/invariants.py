@@ -44,7 +44,6 @@ __all__ = [
     "Violation",
     "SessionTracker",
     "check_liveness",
-    "check_monotonicity",
     "check_attribution",
     "check_detection",
     "check_conservation",
@@ -347,9 +346,11 @@ def check_integrity(monitor: Any, chaos_models: list[Any], now: float,
 class LinkInvariantObserver:
     """Incremental I1–I6 evaluation for one monitored link.
 
-    The teardown-time checkers above scan whole logs and assume a fully
-    drained network; this observer re-expresses them as an online
-    protocol for the serve supervisor (docs/ROBUSTNESS.md):
+    This observer is the one place that decides which checks run and in
+    what order; every soak drives it (docs/ROBUSTNESS.md).  The
+    two-switch and fabric soaks call :meth:`tick` at their
+    ``sim.run(until=t)`` checkpoints, the serve supervisor on its
+    simulated-clock cadence:
 
     * :meth:`tick` — called between engine events while traffic still
       flows.  Evaluates liveness (I1), session monotonicity (I2), the
@@ -360,6 +361,11 @@ class LinkInvariantObserver:
     * :meth:`final` — called once after wind-down and drain.  Evaluates
       the tail of I3, eventual detection (I4), full per-link
       conservation (I5) and exact corruption equality (I6).
+
+    ``links`` are the wires whose conservation this observer owns,
+    together with the process-wide packet pool.  When several observers
+    watch one network, hand the wire list to one of them and ``[]`` to
+    the rest, so each wire and the pool are checked exactly once.
 
     Every breach is appended to :attr:`breaches` and reported through
     the optional ``on_breach`` callback (the supervisor uses it to meter
@@ -412,7 +418,8 @@ class LinkInvariantObserver:
             self.monitor.log, self.schedule, self.monitor,
             self.dedicated, self.best_effort, since=self._log_pos)
         self._log_pos = len(self.monitor.log.reports)
-        found += check_pool(now)
+        if self.links:
+            found += check_pool(now)
         found += check_integrity(self.monitor, self.chaos_models, now,
                                  allow_in_flight=True)
         return self._record(found)
@@ -426,6 +433,7 @@ class LinkInvariantObserver:
         found += check_detection(
             self.monitor.log, self.schedule, self.monitor,
             self.dedicated, self.best_effort, horizon)
-        found += check_conservation(self.links, now)
+        if self.links:
+            found += check_conservation(self.links, now)
         found += check_integrity(self.monitor, self.chaos_models, now)
         return self._record(found)

@@ -24,7 +24,7 @@ See ``docs/FABRIC.md`` for the architecture and CLI usage.
 """
 
 from .builders import abilene, clos, fat_tree, random_isp, ring
-from .chaos import FabricSoakConfig, FabricSoakResult, fabric_soak
+from .chaos import FabricSoakConfig, fabric_soak
 from .deployment import FabricDeployment
 from .graph import FabricGraph, FabricNetwork
 from .reroute import FabricRerouteController, LfaTable, SelectiveRerouteApp
@@ -37,7 +37,6 @@ __all__ = [
     "LfaTable",
     "SelectiveRerouteApp",
     "FabricSoakConfig",
-    "FabricSoakResult",
     "fabric_soak",
     "ring",
     "clos",

@@ -11,33 +11,26 @@ existing tooling.
 :func:`fabric_soak` is the invariant-checked soak on a six-switch ring:
 UDP entries cross three monitored hops, a fabric-link-addressed fault
 schedule runs, and the robustness invariants I1–I6 of
-:mod:`repro.chaos.invariants` are asserted *per monitored link* — the
+:mod:`repro.chaos.invariants` are asserted *per monitored link*, one
+:class:`~repro.chaos.invariants.LinkInvariantObserver` each — the
 faulted link's monitor must flag exactly the covered entries, every
-other monitor must stay silent (attribution against an empty schedule),
-and conservation/integrity hold on every wire.
+other monitor must stay silent, and conservation/integrity hold on
+every wire.  :func:`link_invariant_inputs` derives what each monitor's
+observer sees; the serve soak uses the same function.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..chaos.invariants import (
-    SessionTracker,
-    Violation,
-    check_attribution,
-    check_conservation,
-    check_detection,
-    check_integrity,
-    check_liveness,
-)
+from ..chaos.harness import SOAK_TREE, SoakResult, soak_entries
+from ..chaos.invariants import LinkInvariantObserver
 from ..chaos.perturbations import ChaosModel, Perturbation
 from ..chaos.schedule import FaultSpec, build_loss, build_perturbation
 from ..core.detector import FancyConfig
-from ..core.hashtree import HashTreeParams
 from ..core.output import FailureKind
-from ..runtime import stable_seed
+from ..runtime import DictConfig, stable_seed
 from ..simulator.engine import Simulator
 from ..simulator.failures import CompositeFailure, GrayFailure
 from ..simulator.udp import UdpSource
@@ -51,11 +44,11 @@ __all__ = [
     "link_target",
     "parse_link_target",
     "as_directional",
+    "link_invariant_inputs",
     "fault_start",
     "FabricMaterialized",
     "materialize_on_fabric",
     "FabricSoakConfig",
-    "FabricSoakResult",
     "fabric_soak",
 ]
 
@@ -83,6 +76,34 @@ def as_directional(spec: FaultSpec) -> FaultSpec:
     """
     return FaultSpec(kind=spec.kind, target="forward",
                      params=dict(spec.params), index=spec.index)
+
+
+def link_invariant_inputs(
+    link_id: str, materialized: FabricMaterialized,
+) -> tuple[list[FaultSpec], list[ChaosModel]]:
+    """The schedule and chaos models one fabric monitor's invariants see.
+
+    FANcY's counting protocol is bidirectional: Start/Stop ride the
+    monitored wire ``A->B``, StartACK and Reports come back on ``B->A``.
+    So a spec on the monitored link itself is its *forward* (data)
+    direction, and a spec on the opposite directed link is its *reverse*
+    (control-return) channel — which is how a ``control_loss`` on
+    ``B->A`` legitimately explains a LINK_DOWN declared by ``A->B``'s
+    monitor.  Likewise the corrupted control messages the monitor's FSMs
+    reject are counted on both wires' chaos models.
+    """
+    a, b = link_id.split("->")
+    reverse_id = f"{b}->{a}"
+    schedule: list[FaultSpec] = []
+    for spec in materialized.schedule:
+        target = parse_link_target(spec.target)
+        if target == link_id:
+            schedule.append(as_directional(spec))
+        elif target == reverse_id:
+            schedule.append(FaultSpec(kind=spec.kind, target="reverse",
+                                      params=dict(spec.params),
+                                      index=spec.index))
+    return schedule, materialized.chaos_models_for(link_id, reverse_id)
 
 
 @dataclass
@@ -163,7 +184,7 @@ def fault_start(spec: FaultSpec) -> float:
 
 
 @dataclass(frozen=True)
-class FabricSoakConfig:
+class FabricSoakConfig(DictConfig):
     """Knobs of the six-switch ring soak (JSON-round-trippable)."""
 
     seed: int = 0
@@ -179,48 +200,11 @@ class FabricSoakConfig:
     fault_rate: float = 0.9
     fault_start_s: float = 0.5
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "FabricSoakConfig":
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
-                      if f.name in d})
-
-
-@dataclass
-class FabricSoakResult:
-    """Outcome of one fabric soak run."""
-
-    seed: int
-    violations: list[Violation]
-    schedule: list[FaultSpec]
-    stats: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-            "schedule": [s.to_dict() for s in self.schedule],
-            "stats": self.stats,
-        }
-
-
-def _soak_entries(config: FabricSoakConfig) -> tuple[list[str], list[str]]:
-    dedicated = [f"hp/{i}" for i in range(config.n_dedicated)]
-    best_effort = [f"be/{i}" for i in range(config.n_best_effort)]
-    return dedicated, best_effort
-
 
 def default_fabric_schedule(config: FabricSoakConfig) -> list[FaultSpec]:
     """The pinned soak schedule: one persistent entry-loss gray failure
     addressed to ``config.fault_link``, covering every entry."""
-    dedicated, best_effort = _soak_entries(config)
+    dedicated, best_effort = soak_entries(config)
     return [FaultSpec(
         "entry_loss",
         target=LINK_TARGET_PREFIX + config.fault_link,
@@ -233,19 +217,20 @@ def default_fabric_schedule(config: FabricSoakConfig) -> list[FaultSpec]:
 
 def fabric_soak(config: FabricSoakConfig,
                 schedule: list[FaultSpec] | None = None,
-                telemetry: Any | None = None) -> FabricSoakResult:
+                telemetry: Any | None = None) -> SoakResult:
     """One invariant-checked soak on the ring fabric.
 
     Entries travel ``s0 → s2`` over the unique two-hop shortest path
     (``dst`` is chosen off the ring's antipode so ECMP never splits the
     flows), crossing monitors on ``s0->s1`` and ``s1->s2``; a third
     monitor on ``s2->s3`` carries no entry traffic and acts as the
-    false-positive sentinel.  I1/I2 are checkpointed per monitor during
-    the run; I3–I6 are asserted per monitored link after a full drain.
+    false-positive sentinel.  Each monitor's observer ticks at every
+    checkpoint and runs its drain-time checks after a full drain; the
+    first observer owns conservation of every wire of the ring.
     """
     if config.ring_size < 4:
         raise ValueError("the ring soak needs at least four switches")
-    dedicated, best_effort = _soak_entries(config)
+    dedicated, best_effort = soak_entries(config)
     if schedule is None:
         schedule = default_fabric_schedule(config)
 
@@ -258,7 +243,7 @@ def fabric_soak(config: FabricSoakConfig,
 
     fancy = FancyConfig(
         high_priority=dedicated,
-        tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
+        tree_params=SOAK_TREE,
         dedicated_session_s=0.050,
         tree_session_s=0.200,
         twait_s=0.015,
@@ -278,39 +263,27 @@ def fabric_soak(config: FabricSoakConfig,
                                          deployment)
     deployment.start(stagger_s=0.005)
 
-    # -- run with periodic I1/I2 checkpoints per monitor --------------------
-    violations: list[Violation] = []
-    trackers = {lid: SessionTracker(mon)
-                for lid, mon in deployment.monitors.items()}
+    wires = [net.links[lid] for lid in sorted(net.links)]
+    observers: list[LinkInvariantObserver] = []
+    for lid, monitor in deployment.monitors.items():
+        link_schedule, chaos_models = link_invariant_inputs(lid,
+                                                            materialized)
+        observers.append(LinkInvariantObserver(
+            monitor, link_schedule, dedicated, best_effort,
+            [] if observers else wires, chaos_models, link_id=lid))
     end = config.duration_s + config.grace_s
     t = config.checkpoint_s
     while t < end + config.checkpoint_s / 2:
         sim.run(until=min(t, end))
-        for lid, monitor in deployment.monitors.items():
-            violations.extend(check_liveness(monitor, sim.now))
-            violations.extend(trackers[lid].check(monitor, sim.now))
+        for observer in observers:
+            observer.tick(sim.now)
         t += config.checkpoint_s
 
     # -- wind-down: stop monitors, then drain to quiescence -----------------
     deployment.stop()
     sim.run()
-
-    # -- I3/I4/I6 per monitored link ----------------------------------------
-    faulted = {lid: [as_directional(s) for s in schedule
-                     if parse_link_target(s.target) == lid]
-               for lid in deployment.monitors}
-    for lid, monitor in deployment.monitors.items():
-        link_schedule = faulted[lid]
-        violations.extend(check_attribution(
-            monitor.log, link_schedule, monitor, dedicated, best_effort))
-        violations.extend(check_detection(
-            monitor.log, link_schedule, monitor, dedicated, best_effort,
-            horizon=config.duration_s))
-        violations.extend(check_integrity(
-            monitor, materialized.chaos_models_for(lid), sim.now))
-    # -- I5 on every wire of the fabric -------------------------------------
-    violations.extend(check_conservation(
-        [net.links[lid] for lid in sorted(net.links)], sim.now))
+    for observer in observers:
+        observer.final(sim.now, horizon=config.duration_s)
 
     if telemetry is not None:
         for monitor in deployment.monitors.values():
@@ -335,5 +308,6 @@ def fabric_soak(config: FabricSoakConfig,
             lid: len(getattr(mon.telemetry, "traces", []) or [])
             for lid, mon in deployment.monitors.items()
         }
-    return FabricSoakResult(seed=config.seed, violations=violations,
-                            schedule=list(schedule), stats=stats)
+    return SoakResult(seed=config.seed,
+                      violations=[v for o in observers for v in o.breaches],
+                      schedule=list(schedule), stats=stats)

@@ -22,13 +22,14 @@ See ``docs/RUNTIME.md`` for the architecture and on-disk formats.
 from .cache import DEFAULT_CACHE_DIR, NullCache, ResultCache, open_cache
 from .context import RuntimeContext, resolve
 from .executor import CellTimeout, SweepResult, run_sweep
-from .jobs import CODE_VERSION, Job, canonical, fingerprint, spec_job, stable_seed
+from .jobs import CODE_VERSION, DictConfig, Job, canonical, fingerprint, spec_job, stable_seed
 from .progress import ProgressReporter, RunLog
 
 __all__ = [
     "CODE_VERSION",
     "CellTimeout",
     "DEFAULT_CACHE_DIR",
+    "DictConfig",
     "Job",
     "NullCache",
     "ProgressReporter",

@@ -26,10 +26,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Optional, TypeVar, cast
 
 __all__ = [
     "CODE_VERSION",
+    "DictConfig",
     "Job",
     "canonical",
     "fingerprint",
@@ -98,6 +99,26 @@ def stable_seed(*parts: Any, bits: int = 63) -> int:
         h.update(b"\x1f")
         h.update(canonical(part).encode())
     return int.from_bytes(h.digest(), "big") % (1 << bits)
+
+
+_C = TypeVar("_C", bound="DictConfig")
+
+
+class DictConfig:
+    """JSON round-trip for config dataclasses that ride job payloads.
+
+    ``from_dict`` ignores unknown keys and lets missing ones default, so
+    reproducer files written before a field was added still load.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return dataclasses.asdict(cast(Any, self))
+
+    @classmethod
+    def from_dict(cls: type[_C], d: dict[str, Any]) -> _C:
+        dc: Any = cls
+        return cast(_C, dc(**{f.name: d[f.name] for f in dataclasses.fields(dc)
+                              if f.name in d}))
 
 
 @dataclass(frozen=True)

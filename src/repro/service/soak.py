@@ -30,20 +30,19 @@ exhaustion cycle.  The paper-default timer tests live in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..chaos.harness import SOAK_TREE
 from ..chaos.schedule import FaultSpec
 from ..core.detector import FancyConfig
-from ..core.hashtree import HashTreeParams
 from ..fabric.builders import ring
 from ..fabric.chaos import (
-    as_directional,
     fault_start,
+    link_invariant_inputs,
     link_target,
     materialize_on_fabric,
     parse_link_target,
@@ -53,7 +52,7 @@ from ..fabric.graph import FabricNetwork
 from ..fabric.scenario import bind_fluid, link_payload, open_fault_episode, start_staggered
 from ..fabric.sharding import merge_link_results, run_link_shards
 from ..obs.health import FabricHealthReport
-from ..runtime import RuntimeContext, stable_seed
+from ..runtime import DictConfig, RuntimeContext, stable_seed
 from ..simulator.engine import Simulator
 from ..telemetry import Telemetry
 from ..traffic.zipf import assign_rates, sample_zipf_ranks
@@ -70,7 +69,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(DictConfig):
     """Knobs of one serve soak (JSON-round-trippable)."""
 
     seed: int = 0
@@ -104,14 +103,6 @@ class ServeConfig:
     #: how long the fault-rooted trace episode stays open (bounded so a
     #: day-long grey fault doesn't record a day of control spans).
     trace_window_s: float = 60.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ServeConfig":
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)
-                      if f.name in d})
 
     @classmethod
     def quick(cls, seed: int = 0) -> "ServeConfig":
@@ -249,28 +240,6 @@ def default_serve_schedule(config: ServeConfig) -> list[FaultSpec]:
     )]
 
 
-def _directional_schedule(link_id: str,
-                          schedule: list[FaultSpec]) -> list[FaultSpec]:
-    """Link-addressed specs, translated for one monitor's invariants.
-
-    A spec on the monitored link itself is its *forward* (data)
-    direction; a spec on the opposite directed link is its *reverse*
-    (control-return) channel — which is how a ``control_loss`` on
-    ``B->A`` legitimately explains impairment seen by ``A->B``'s monitor.
-    """
-    a, b = link_id.split("->")
-    reverse_id = f"{b}->{a}"
-    out: list[FaultSpec] = []
-    for spec in schedule:
-        target = parse_link_target(spec.target)
-        if target == link_id:
-            out.append(as_directional(spec))
-        elif target == reverse_id:
-            out.append(FaultSpec(kind=spec.kind, target="reverse",
-                                 params=dict(spec.params), index=spec.index))
-    return out
-
-
 # -- the per-link probe --------------------------------------------------------
 
 
@@ -307,7 +276,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
 
     fancy = FancyConfig(
         high_priority=list(rotations[0][1]),
-        tree_params=HashTreeParams(width=8, depth=2, split=2, pipelined=True),
+        tree_params=SOAK_TREE,
         dedicated_session_s=config.dedicated_session_s,
         tree_session_s=config.tree_session_s,
         rtx_timeout_s=config.rtx_timeout_s,
@@ -338,7 +307,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         declare_grace_s=config.declare_grace_s,
         max_absorbed_cycles=config.max_absorbed_cycles)
 
-    link_schedule = _directional_schedule(link_id, schedule)
+    link_schedule, chaos_models = link_invariant_inputs(link_id, materialized)
     dedicated0 = list(rotations[0][1])
     best_effort0 = [e for e in flow_rates if e not in set(dedicated0)]
     supervisor = InvariantSupervisor(sim, telemetry=telemetry,
@@ -346,7 +315,7 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
     observer = supervisor.watch(
         link_id, monitor, link_schedule, dedicated0, best_effort0,
         links=[net.links[lid] for lid in sorted(net.links)],
-        chaos_models=materialized.chaos_models_for(link_id, reverse_id))
+        chaos_models=chaos_models)
     supervisor.start()
 
     engine = bind_fluid(deployment, flow_rates, packet_size=config.packet_size,

@@ -1,11 +1,12 @@
 """Online invariant supervision for long-running serves.
 
-The chaos harness evaluates I1–I6 at teardown — fine for a soak that
-lasts minutes, useless for a service meant to run simulated days: a
-liveness deadlock at hour 2 must surface at hour 2, not in a post-run
-report.  :class:`InvariantSupervisor` owns one
-:class:`~repro.chaos.invariants.LinkInvariantObserver` per monitored
-link and ticks them on a simulated-clock cadence; every breach is
+The batch soaks tick their
+:class:`~repro.chaos.invariants.LinkInvariantObserver` objects at their
+own ``sim.run(until=t)`` checkpoints.  A serve checkpoints only for
+health snapshots, hours apart, yet a liveness deadlock at hour 2 must
+surface at hour 2, not in a post-run report.
+:class:`InvariantSupervisor` owns one observer per monitored link and
+ticks them on a self-scheduled simulated-clock cadence; every breach is
 exported as ``fancy_invariant_breach_total{invariant=,link=}`` and fed
 into the health report (the serve driver attaches breach counts to each
 link's :class:`~repro.obs.health.LinkHealth`).

@@ -6,8 +6,8 @@ detection for the zooming tree — and this package is their single source
 of truth:
 
 * :mod:`~repro.telemetry.registry` — counters, gauges and log-scale
-  histograms, cheap enough to stay on by default (no-op when
-  unregistered via :data:`NULL_REGISTRY`);
+  histograms, cheap enough to stay on by default (components built
+  with ``telemetry=None`` bind none);
 * :mod:`~repro.telemetry.timeline` — the protocol state-machine
   timeline: every FSM transition, session open/close, zooming descent,
   failure injection and detection, monotonically timestamped;
@@ -25,12 +25,10 @@ and workflows.
 from ..obs.trace import Span, TraceCollector
 from .export import hotspots, to_jsonl, to_prometheus
 from .registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     merge_snapshots,
 )
 from .session import Telemetry
@@ -41,8 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "merge_snapshots",
     "Telemetry",
     "Span",

@@ -8,10 +8,8 @@ designed for a discrete-event simulator's hot path:
   ``inc``/``set``/``observe`` methods;
 * components *pre-bind* their instruments at construction time, so the
   per-event cost is one method call on an already-resolved object;
-* a shared :data:`NULL_REGISTRY` hands out no-op instruments, which is
-  what "telemetry disabled" means — callers never need ``if telemetry``
-  checks on hot paths (though the simulator engine adds one anyway,
-  because it executes millions of events).
+* "telemetry disabled" means no registry at all: every instrumented
+  component takes ``telemetry=None`` and binds nothing.
 
 Histograms use log-scale buckets (a geometric ladder), the right shape
 for latency- and duration-like quantities that span several orders of
@@ -33,8 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "merge_snapshots",
 ]
 
@@ -258,62 +254,6 @@ class MetricsRegistry:
             entry.update(inst.snapshot())  # type: ignore[attr-defined]
             metrics.append(entry)
         return {"metrics": metrics}
-
-
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by :class:`NullRegistry`."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels: LabelSet = ()
-    value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """Registry whose instruments do nothing — "telemetry disabled".
-
-    Components can bind instruments unconditionally; when nobody
-    registered a real registry, every ``inc``/``set``/``observe`` is a
-    no-op on a shared singleton.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "", **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", **kwargs):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {"metrics": []}
-
-
-#: The shared disabled registry.
-NULL_REGISTRY = NullRegistry()
 
 
 def merge_snapshots(*snapshots: dict) -> dict:

@@ -137,3 +137,29 @@ class TestFabricSoak:
     def test_soak_result_pinned(self, soak_result):
         text = json.dumps(soak_result.to_dict(), sort_keys=True, default=repr)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SOAK
+
+
+class TestReverseChannelFaults:
+    """Faults on ``B->A`` impair ``A->B``'s monitor through its control
+    return channel (StartACK and Reports ride ``B->A``), so they must
+    explain what that monitor declares instead of being reported as
+    false flags or as unaccounted corruption."""
+
+    @staticmethod
+    def run(kind, **params):
+        spec = FaultSpec(kind, target=link_target("s1", "s0"),
+                         params={**params, "start": 0.5, "end": None},
+                         index=0)
+        return fabric_soak(FabricSoakConfig(seed=3), [spec])
+
+    def test_dead_reverse_channel_declares_without_violations(self):
+        result = self.run("control_loss", rate=1.0)
+        assert result.ok, [v.to_dict() for v in result.violations]
+        assert result.stats["reports"]["s0->s1"].get("link_down")
+
+    def test_corrupted_reports_are_accounted_to_the_reverse_wire(self):
+        result = self.run("corrupt", field="snapshot", rate=0.3)
+        assert result.ok, [v.to_dict() for v in result.violations]
+        # The hardened FSMs reject the corrupted Reports instead of
+        # acting on them: no flag on the impaired monitor.
+        assert result.stats["reports"]["s0->s1"] == {}

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-    merge_snapshots,
-)
+from repro.telemetry import MetricsRegistry, merge_snapshots
 
 
 class TestCounter:
@@ -135,21 +130,6 @@ class TestRegistry:
         assert again == snap
         names = [m["name"] for m in snap["metrics"]]
         assert names == sorted(names)
-
-
-class TestNullRegistry:
-    def test_noop_instruments(self):
-        c = NULL_REGISTRY.counter("x_total", link="a")
-        g = NULL_REGISTRY.gauge("y")
-        h = NULL_REGISTRY.histogram("z", start=1.0)
-        c.inc()
-        g.set(5)
-        h.observe(2.0)
-        assert NULL_REGISTRY.snapshot() == {"metrics": []}
-
-    def test_shared_instrument(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
-        assert isinstance(NULL_REGISTRY, NullRegistry)
 
 
 class TestMergeSnapshots:
