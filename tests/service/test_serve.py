@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.obs.schema import validate_spans
 from repro.service.soak import (
     ServeConfig,
     churn_rotations,
@@ -105,6 +106,12 @@ class TestDeterminismAndSharding:
             for key in GOLDEN_SHORT
         }
         assert digests == GOLDEN_SHORT
+
+    def test_trace_jsonl_matches_the_span_schema(self, short_result):
+        spans = [json.loads(line)
+                 for line in short_result.trace_jsonl.splitlines()]
+        assert spans
+        assert validate_spans(spans) == []
 
     def test_different_seed_changes_the_run(self, short_result):
         other = run_serve(dataclasses.replace(SHORT, seed=SHORT.seed + 1))

@@ -33,6 +33,7 @@ from repro.simulator.failures import EntryLossFailure, UniformLossFailure
 from repro.simulator.link import Link
 from repro.simulator.topology import TwoSwitchTopology
 from repro.simulator.udp import UdpSource
+from repro.telemetry import Telemetry
 from repro.traffic.synthetic import EntrySize
 
 #: The fast-path configurations under test, each compared to "reference".
@@ -83,6 +84,18 @@ class TestRunnerEquivalence:
         result = _scored(spec_name, mode_name)
         assert result["n_detected"] == result["n_failed"] == 1
         assert result["detection_times"]
+
+    def test_telemetry_does_not_change_the_run(self, spec_name, mode_name):
+        """A telemetered run scores exactly like the bare reference run.
+
+        The only addition telemetry may make is the telemetry-only
+        ``extra["detections"]`` key.
+        """
+        with fastpath.scoped(**MODES[mode_name]):
+            traced = run_entry_failure(SPECS[spec_name],
+                                       telemetry=Telemetry()).to_dict()
+        assert traced["extra"].pop("detections")
+        assert traced == _scored(spec_name, "reference")
 
 
 # ---------------------------------------------------------------------------
