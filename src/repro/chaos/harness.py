@@ -41,6 +41,7 @@ from .schedule import FaultSpec, Materialized, generate_schedule, materialize
 
 __all__ = [
     "SOAK_TREE",
+    "soak_fancy_config",
     "SoakConfig",
     "SoakResult",
     "soak_entries",
@@ -58,6 +59,18 @@ _REVIVE_DELAY_S = 0.3
 
 #: The small zooming tree every soak deploys next to the dedicated counters.
 SOAK_TREE = HashTreeParams(width=8, depth=2, split=2, pipelined=True)
+
+
+def soak_fancy_config(seed: int, dedicated: list[Any],
+                      **overrides: Any) -> FancyConfig:
+    """The FANcY config every soak deploys: ``dedicated`` on 50 ms sessions,
+    ``SOAK_TREE`` on 200 ms ones and a 15 ms T_wait (above the 12 ms
+    worst-case forward displacement budget), seeded from ``seed``."""
+    return FancyConfig(**{
+        "high_priority": dedicated, "tree_params": SOAK_TREE,
+        "dedicated_session_s": 0.050, "tree_session_s": 0.200,
+        "twait_s": 0.015, "seed": stable_seed(seed, "fancy", bits=31),
+        **overrides})
 
 
 @dataclass(frozen=True)
@@ -159,15 +172,9 @@ def run_soak(config: SoakConfig,
 
     sim = Simulator()
     topo = TwoSwitchTopology(sim)
-    fancy = FancyConfig(
-        high_priority=dedicated,
-        tree_params=SOAK_TREE,
-        dedicated_session_s=0.050,
-        tree_session_s=0.200,
-        twait_s=0.015,  # > worst-case forward displacement budget (12 ms)
-        seed=stable_seed(config.seed, "fancy", bits=31),
-        accept_stale_responses=config.regression == "stale-session",
-    )
+    fancy = soak_fancy_config(
+        config.seed, dedicated,
+        accept_stale_responses=config.regression == "stale-session")
     monitor = FancyLinkMonitor(sim, topo.upstream, PORT_TO_PEER,
                                topo.downstream, PORT_TO_PEER, config=fancy)
     state = _RecoveryState()

@@ -151,8 +151,6 @@ class FancyLinkMonitor:
         self.config = config or FancyConfig()
         self.log = log if log is not None else FailureLog()
         self.telemetry = telemetry
-        self._timeline: Any = telemetry.timeline if telemetry is not None else None
-        self._traces: Any = getattr(telemetry, "traces", None)
         self._id = f"{upstream.name}->{downstream.name}"
         self._entry_of = self.config.classifier or by_prefix
 
@@ -328,44 +326,13 @@ class FancyLinkMonitor:
     # -- detections ----------------------------------------------------------------------
 
     def _record_detection(self, report: FailureReport, fsm_id: str) -> None:
-        """Mirror a failure report into the telemetry timeline + registry.
-
-        The timeline event carries the *cumulative* control bytes at
-        detection time, so each per-entry detection record states what
-        the detection cost on the wire (§5.3's companion quantity).
-        """
-        if self.telemetry is None:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "fancy_detections_total", "Failure reports raised by the monitor",
-            monitor=self._id, kind=report.kind.value,
-        ).inc()
-        self._timeline.record(
-            report.time, self._id, "detection",
-            kind=report.kind.value,
-            fsm=fsm_id,
-            entry=report.entry,
-            hash_path=report.hash_path,
-            session=report.session_id,
-            lost=report.lost_packets,
-            control_bytes=int(metrics.total("fancy_control_bytes_total")),
-        )
-        if self._traces is not None:
-            # Unattributed detections (no fault episode opened by a chaos
-            # or experiment harness) open their own episode here — the
-            # false-positive-sentinel signal the health report surfaces.
-            self._traces.ensure_episode(report.time, cause="detection",
-                                        monitor=self._id)
-            if report.kind is FailureKind.DEDICATED_ENTRY:
-                self._traces.emit("divergence", report.time,
-                                  category="counters", fsm=fsm_id,
-                                  entry=report.entry)
-            self._traces.emit(
-                "flag", report.time, category="detect",
-                kind=report.kind.value, fsm=fsm_id, entry=report.entry,
-                hash_path=report.hash_path, session=report.session_id,
-                lost=report.lost_packets)
+        """Log a failure report and report it as a ``detection`` fact."""
+        self.log.record(report)
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                "detection", report.time, self._id, kind=report.kind.value,
+                fsm=fsm_id, entry=report.entry, hash_path=report.hash_path,
+                session=report.session_id, lost=report.lost_packets)
 
     def _on_dedicated_detection(self, entry: Any, lost: int, session_id: int) -> None:
         report = FailureReport(
@@ -376,17 +343,14 @@ class FancyLinkMonitor:
             session_id=session_id,
             port=self.up_port,
         )
-        self.log.record(report)
         self._record_detection(report, f"{self._id}/dedicated")
 
     def _on_tree_report(self, report: FailureReport) -> None:
-        self.log.record(report)
         self._record_detection(report, f"{self._id}/tree")
 
     def _on_link_failure(self, fsm_id: str, now: float) -> None:
         report = FailureReport(FailureKind.LINK_DOWN, now, entry=fsm_id,
                                port=self.up_port)
-        self.log.record(report)
         self._record_detection(report, fsm_id)
 
     # -- lifecycle --------------------------------------------------------------------------
@@ -450,16 +414,8 @@ class FancyLinkMonitor:
             for receiver in (self.dedicated_receiver, self.tree_receiver):
                 if receiver is not None:
                     receiver.restart()
-        if self._timeline is not None:
-            self._timeline.record(now, self._id, "switch_restart", side=side)
-        if self._traces is not None and self._traces.active:
-            self._traces.emit("switch_restart", now, category="chaos",
-                              monitor=self._id, side=side)
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "chaos_switch_restarts_total",
-                "Simulated switch restarts injected by the chaos subsystem",
-                monitor=self._id, side=side).inc()
+            self.telemetry.emit("switch_restart", now, self._id, side=side)
 
     # -- entry churn ---------------------------------------------------------------------------
 
@@ -524,14 +480,9 @@ class FancyLinkMonitor:
         receiver.report_size_bytes = max(MIN_FRAME_BYTES, (n * 32) // 8 + 30)
         self.config = dataclasses.replace(self.config,
                                           high_priority=list(entries))
-        if self._timeline is not None:
-            self._timeline.record(self.sim.now, self._id, "entry_update",
-                                  entries=n)
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_entry_updates_total",
-                "Dedicated entry-set swaps applied (entry churn)",
-                monitor=self._id).inc()
+            self.telemetry.emit("entry_update", self.sim.now, self._id,
+                                entries=n)
 
     def clear_dedicated_flags(self, entries: Iterable[Any]) -> list[Any]:
         """Clear dedicated output flags for ``entries``; return those cleared.
@@ -552,9 +503,9 @@ class FancyLinkMonitor:
             if idx is not None and strategy.flags[idx]:
                 strategy.flags[idx] = False
                 cleared.append(entry)
-        if cleared and self._timeline is not None:
-            self._timeline.record(self.sim.now, self._id, "flags_cleared",
-                                  entries=len(cleared))
+        if cleared and self.telemetry is not None:
+            self.telemetry.emit("flags_cleared", self.sim.now, self._id,
+                                entries=len(cleared))
         return cleared
 
     # -- convenience queries -------------------------------------------------------------------

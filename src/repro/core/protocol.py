@@ -20,13 +20,11 @@ run as separate FSM instances per port with their own session durations
 (counters exchanged every 50 ms, tree zooming every 200 ms in the paper's
 evaluation).
 
-Telemetry: pass a :class:`repro.telemetry.Telemetry` session to record
-every FSM transition (``fsm_transition`` timeline events with
-``role``/``from``/``to``/``session`` fields), session lifecycle
-(``session_open`` / ``session_close``), and the control-plane cost
-(``fancy_control_messages_total{fsm,role,kind}`` and
-``fancy_control_bytes_total{fsm,role}`` counters — the single source of
-truth for §5.3's control-overhead accounting, see
+Telemetry: pass a :class:`repro.telemetry.Telemetry` session and the
+FSMs report every transition, session open and end, control message and
+rejection through :meth:`~repro.telemetry.Telemetry.emit`; the fact
+table (:mod:`repro.telemetry.facts`) turns them into timeline events,
+trace spans and the control-overhead counters of §5.3 (see
 :func:`repro.experiments.metrics.control_overhead`).
 """
 
@@ -221,34 +219,6 @@ class ReceiverStrategy(Protocol):
 ControlSender = Callable[[PacketKind, "dict[str, Any]", int], None]
 
 
-def _count_control(telemetry: Any, fsm_id: str, role: str, kind: PacketKind,
-                   size: int, retransmit: bool = False) -> None:
-    """Account one outgoing control message in the metrics registry.
-
-    This is the canonical §5.3 control-overhead accounting — the
-    ``fancy_control_bytes_total`` family replaces the per-FSM ad-hoc
-    integer counters the experiment modules used to re-derive overhead
-    from (see :func:`repro.experiments.metrics.control_overhead`).
-    """
-    metrics = telemetry.metrics
-    metrics.counter(
-        "fancy_control_messages_total",
-        "FANcY control messages sent, by FSM, role and message kind",
-        fsm=fsm_id, role=role, kind=kind.value,
-    ).inc()
-    metrics.counter(
-        "fancy_control_bytes_total",
-        "FANcY control bytes sent on the wire, by FSM and role",
-        fsm=fsm_id, role=role,
-    ).inc(size)
-    if retransmit:
-        metrics.counter(
-            "fancy_retransmissions_total",
-            "Control messages retransmitted after an RTX timeout",
-            fsm=fsm_id,
-        ).inc()
-
-
 class FancySender:
     """Sender (upstream) FSM for one counter group on one port."""
 
@@ -289,13 +259,6 @@ class FancySender:
         #: (``fancy-repro chaos --regression stale-session``); never set
         #: this in real experiments.
         self.accept_stale_responses = accept_stale_responses
-        self._timeline = telemetry.timeline if telemetry is not None else None
-        #: Trace collector of the telemetry fork; spans are only recorded
-        #: while a detection episode is open (TraceCollector.active), so
-        #: healthy steady state pays one attribute check per event.
-        self._traces = (getattr(telemetry, "traces", None)
-                        if telemetry is not None else None)
-        self._session_span: int | None = None
 
         self.state = SenderState.IDLE
         self.session_id = 0
@@ -343,17 +306,16 @@ class FancySender:
     def _set_state(self, new_state: SenderState) -> None:
         old_state = self.state
         self.state = new_state
-        if self._timeline is not None and old_state is not new_state:
-            self._timeline.record(
-                self.sim.now, self.fsm_id, "fsm_transition", role="sender",
-                session=self.session_id,
-                **{"from": old_state.value, "to": new_state.value},
-            )
-            if self._traces is not None and self._traces.active:
-                self._traces.emit(
-                    f"{old_state.value}->{new_state.value}", self.sim.now,
-                    category="fsm", fsm=self.fsm_id, role="sender",
-                    session=self.session_id)
+        if old_state is not new_state:
+            self._fact("fsm_transition", src=old_state.value,
+                       dst=new_state.value)
+
+    def _fact(self, fact: str, **attrs: Any) -> None:
+        """Report one fact of this FSM's current session to telemetry."""
+        if self.telemetry is not None:
+            self.telemetry.emit(fact, self.sim.now, self.fsm_id,
+                                role="sender", session=self.session_id,
+                                **attrs)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -367,14 +329,7 @@ class FancySender:
         self.session_id += 1
         self.strategy.begin_session(self.session_id)
         self._set_state(SenderState.WAIT_ACK)
-        if self._timeline is not None:
-            self._timeline.record(self.sim.now, self.fsm_id, "session_open",
-                                  fsm=self.fsm_id, session=self.session_id)
-        if self._traces is not None and self._traces.active:
-            self._session_span = self._traces.open_span(
-                f"session {self.session_id}", self.sim.now,
-                category="protocol", fsm=self.fsm_id, role="sender",
-                session=self.session_id)
+        self._fact("session_open")
         self.attempts = 0
         self._send_start()
 
@@ -436,15 +391,10 @@ class FancySender:
         """
         self.absorbed_exhaustions += 1
         self._cancel_timer()
-        self._trace_close_session()
+        self._fact("session_end", reason="abort")
         self._counting_since = None
         self.attempts = 0
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_exhaustions_absorbed_total",
-                "RTX exhaustions absorbed by the degradation ladder "
-                "instead of declared as link failures",
-                fsm=self.fsm_id).inc()
+        self._fact("exhaustion_absorbed")
         self._signal("absorbed")
         self._set_state(SenderState.IDLE)
         self._open_session()
@@ -454,15 +404,8 @@ class FancySender:
         payload: dict[str, Any] = {"fsm": self.fsm_id, "session": self.session_id}
         payload.update(extra)
         payload["csum"] = payload_checksum(payload)
-        if self.telemetry is not None:
-            _count_control(self.telemetry, self.fsm_id, "sender", kind, size,
-                           retransmit=self.attempts > 1)
-        if self._traces is not None and self._traces.active:
-            self._traces.emit(
-                kind.value, self.sim.now, category="control",
-                parent=self._session_span, fsm=self.fsm_id, role="sender",
-                session=self.session_id, bytes=size,
-                retransmit=self.attempts > 1)
+        self._fact("control_sent", kind=kind.value, bytes=size,
+                   retransmit=self.attempts > 1)
         self.send_control(kind, payload, size)
 
     def _arm_timer(self, callback: Callable[[], None]) -> None:
@@ -484,32 +427,22 @@ class FancySender:
             self._timer.cancel()
             self._timer = None
 
-    def _trace_close_session(self) -> None:
-        """Close the session's trace span, if one is open."""
-        if self._traces is not None and self._session_span is not None:
-            self._traces.close_span(self._session_span, self.sim.now)
-        self._session_span = None
-
     def _declare_link_failure(self) -> None:
         self._cancel_timer()
-        self._trace_close_session()
+        self._fact("session_end", reason="abort")
         # An aborted window never closes cleanly: taps are not invoked
         # (mirroring the discrete world, where counts accumulated in a
         # failed session are never compared).
         self._counting_since = None
         self._set_state(SenderState.FAILED)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_link_failures_total",
-                "Link-down declarations after max unanswered attempts",
-                fsm=self.fsm_id).inc()
+        self._fact("link_failure")
         if self.on_link_failure is not None:
             self.on_link_failure(self.fsm_id, self.sim.now)
 
     def stop(self) -> None:
         """Tear the FSM down (experiment teardown)."""
         self._cancel_timer()
-        self._trace_close_session()
+        self._fact("session_end", reason="stop")
         self._counting_since = None
         self._set_state(SenderState.IDLE)
 
@@ -524,7 +457,7 @@ class FancySender:
         and the session-monotonicity invariant checkable.
         """
         self._cancel_timer()
-        self._trace_close_session()
+        self._fact("session_end", reason="restart")
         self.restarts += 1
         self.attempts = 0
         self._counting_since = None
@@ -532,13 +465,6 @@ class FancySender:
         self._open_session()
 
     # -- events ---------------------------------------------------------------
-
-    def _count_rejected(self, reason: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_rejected_messages_total",
-                "Control messages rejected by FSM hardening checks",
-                fsm=self.fsm_id, role="sender", reason=reason).inc()
 
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
         """Handle a control message addressed to this FSM.
@@ -555,7 +481,7 @@ class FancySender:
         """
         if not verify_payload(payload):
             self.rejected_corrupt += 1
-            self._count_rejected("corrupt")
+            self._fact("rejected", reason="corrupt")
             self._signal("corrupt")
             if self.state is SenderState.WAIT_ACK:
                 self._send_start()
@@ -566,7 +492,7 @@ class FancySender:
             # Stale response from an earlier session (e.g. a reordered
             # Report displaced past the session that produced it).
             self.rejected_stale += 1
-            self._count_rejected("stale")
+            self._fact("rejected", reason="stale")
             if not self.accept_stale_responses:
                 return
         if kind is PacketKind.FANCY_START_ACK and self.state is SenderState.WAIT_ACK:
@@ -581,15 +507,7 @@ class FancySender:
             self.last_verified_at = self.sim.now
             self.strategy.end_session(payload.get("snapshot"), self.session_id)
             self.sessions_completed += 1
-            self._trace_close_session()
-            if self._timeline is not None:
-                self._timeline.record(self.sim.now, self.fsm_id, "session_close",
-                                      fsm=self.fsm_id, session=self.session_id)
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter(
-                    "fancy_sessions_completed_total",
-                    "Counting sessions completed (Report received)",
-                    fsm=self.fsm_id).inc()
+            self._fact("session_end", reason="report")
             # "recovered" fires between the verified-Report bookkeeping and
             # the next session's open: supervision hooks (ladder reset,
             # deferred entry swaps) run against a closed, verified window.
@@ -642,9 +560,6 @@ class FancyReceiver:
         self.twait = twait
         self.report_size_bytes = report_size_bytes
         self.telemetry = telemetry
-        self._timeline = telemetry.timeline if telemetry is not None else None
-        self._traces = (getattr(telemetry, "traces", None)
-                        if telemetry is not None else None)
 
         self.state = ReceiverState.IDLE
         self.session_id = 0
@@ -658,38 +573,30 @@ class FancyReceiver:
     def _set_state(self, new_state: ReceiverState) -> None:
         old_state = self.state
         self.state = new_state
-        if self._timeline is not None and old_state is not new_state:
-            self._timeline.record(
-                self.sim.now, self.fsm_id, "fsm_transition", role="receiver",
-                session=self.session_id,
-                **{"from": old_state.value, "to": new_state.value},
-            )
-            if self._traces is not None and self._traces.active:
-                self._traces.emit(
-                    f"{old_state.value}->{new_state.value}", self.sim.now,
-                    category="fsm", fsm=self.fsm_id, role="receiver",
-                    session=self.session_id)
+        if old_state is not new_state:
+            self._fact("fsm_transition", src=old_state.value,
+                       dst=new_state.value)
 
-    def _count_rejected(self, reason: str) -> None:
+    def _fact(self, fact: str, **attrs: Any) -> None:
+        """Report one fact of this FSM's current session to telemetry."""
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_rejected_messages_total",
-                "Control messages rejected by FSM hardening checks",
-                fsm=self.fsm_id, role="receiver", reason=reason).inc()
+            self.telemetry.emit(fact, self.sim.now, self.fsm_id,
+                                role="receiver", session=self.session_id,
+                                **attrs)
 
     def on_control(self, kind: PacketKind, payload: dict[str, Any]) -> None:
         if not verify_payload(payload):
             # Corrupted Start/Stop: drop silently — the sender's RTX timer
             # retransmits, bounded by its max_attempts.
             self.rejected_corrupt += 1
-            self._count_rejected("corrupt")
+            self._fact("rejected", reason="corrupt")
             return
         session = payload.get("session", -1)
         if session < self.session_id:
             # Stale duplicate from an earlier session (reordered or
             # duplicated Start/Stop): never regress the session id.
             self.rejected_stale += 1
-            self._count_rejected("stale")
+            self._fact("rejected", reason="stale")
             return
         if kind is PacketKind.FANCY_START:
             if session > self.session_id:
@@ -737,13 +644,7 @@ class FancyReceiver:
         if extra:
             payload.update(extra)
         payload["csum"] = payload_checksum(payload)
-        if self.telemetry is not None:
-            _count_control(self.telemetry, self.fsm_id, "receiver", kind, size)
-        if self._traces is not None and self._traces.active:
-            self._traces.emit(
-                kind.value, self.sim.now, category="control",
-                fsm=self.fsm_id, role="receiver", session=self.session_id,
-                bytes=size)
+        self._fact("control_sent", kind=kind.value, bytes=size)
         self.send_control(kind, payload, size)
 
     def process_packet(self, packet: Packet) -> bool:

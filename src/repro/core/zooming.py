@@ -82,18 +82,10 @@ class TreeSenderStrategy:
         #: Entry classifier (§1); defaults to the destination prefix.
         self.entry_of = entry_of if entry_of is not None else (lambda p: p.entry)
         self.name = name
-        #: Plain ``Any`` (not ``Any | None``): attribute access is always
-        #: guarded by the ``_timeline`` check on the hot paths.
         self.telemetry: Any = telemetry
-        self._timeline: Any = telemetry.timeline if telemetry is not None else None
-        self._traces: Any = getattr(telemetry, "traces", None)
-        #: Open zoom-span ids by frontier path (durative: activate→retreat).
-        self._zoom_spans: dict[NodePath, int | None] = {}
-        self._m_frontier: Any = (
-            telemetry.metrics.gauge(
-                "fancy_zoom_frontier", "Active zooming explorations", fsm=name)
-            if telemetry is not None else None
-        )
+        if telemetry is not None:
+            # The frontier gauge is exported from construction on.
+            telemetry.bind("zoom_deactivate", name)
 
         #: Active explorations, keyed by frontier node path (len 1..d-1).
         self.frontier: set[NodePath] = set()
@@ -126,29 +118,19 @@ class TreeSenderStrategy:
     def _activate(self, path: NodePath) -> None:
         self.frontier.add(path)
         self.counters.activate_node(path)
-        if self._timeline is not None:
-            self._timeline.record(self.now_fn(), self.name, "zoom_descend",
-                                  fsm=self.name, path=path, level=len(path))
-            self._m_frontier.set(len(self.frontier))
-            self.telemetry.metrics.counter(
-                "fancy_zoom_activations_total",
-                "Zooming-frontier node activations, by tree level",
-                fsm=self.name, level=str(len(path))).inc()
-        if self._traces is not None and self._traces.active:
-            self._zoom_spans[path] = self._traces.open_span(
-                f"zoom L{len(path)} {list(path)}", self.now_fn(),
-                category="zoom", fsm=self.name, path=path, level=len(path))
+        self._fact("zoom_activate", path=path, level=len(path),
+                   frontier=len(self.frontier))
 
     def _deactivate(self, path: NodePath) -> None:
         self.frontier.discard(path)
         self.counters.deactivate_node(path)
-        if self._timeline is not None:
-            self._timeline.record(self.now_fn(), self.name, "zoom_retreat",
-                                  fsm=self.name, path=path, level=len(path))
-            self._m_frontier.set(len(self.frontier))
-        if self._traces is not None:
-            self._traces.close_span(self._zoom_spans.pop(path, None),
-                                    self.now_fn())
+        self._fact("zoom_deactivate", path=path, level=len(path),
+                   frontier=len(self.frontier))
+
+    def _fact(self, fact: str, **attrs: Any) -> None:
+        """Report one fact of this tree to telemetry."""
+        if self.telemetry is not None:
+            self.telemetry.emit(fact, self.now_fn(), self.name, **attrs)
 
     # -- SenderStrategy interface ----------------------------------------------
 
@@ -292,11 +274,7 @@ class TreeSenderStrategy:
         if root_mism:
             if self.first_zoom_time is None:
                 self.first_zoom_time = now
-            if self._traces is not None:
-                self._traces.ensure_episode(now, cause="divergence",
-                                            fsm=self.name)
-                self._traces.emit("divergence", now, category="counters",
-                                  fsm=self.name, counters=len(root_mism))
+            self._fact("divergence", counters=len(root_mism))
             self._spawn_children((), root_mism, 1)
         return reports
 
@@ -344,11 +322,7 @@ class TreeSenderStrategy:
             if root_mism:
                 if self.first_zoom_time is None:
                     self.first_zoom_time = now
-                if self._traces is not None:
-                    self._traces.ensure_episode(now, cause="divergence",
-                                                fsm=self.name)
-                    self._traces.emit("divergence", now, category="counters",
-                                      fsm=self.name, counters=len(root_mism))
+                self._fact("divergence", counters=len(root_mism))
                 self._reset_wave()
                 self._spawn_wave((), root_mism)
                 if self.frontier:

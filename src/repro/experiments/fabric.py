@@ -141,8 +141,7 @@ def _run_case(case: str, config: FabricExpConfig, telemetry: Any = None,
     # The experiment harness is the root cause here: the failed link's
     # episode opens exactly when the loss model activates.
     open_fault_episode(deployment, failed_link, config.failure_time_s,
-                       "entry_loss", injected_entry=victim, entry=victim,
-                       rate=config.loss_rate)
+                       "entry_loss", entry=victim, rate=config.loss_rate)
 
     meters: dict[str, ThroughputMeter] = {}
     if link is None:

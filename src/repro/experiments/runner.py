@@ -103,12 +103,11 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
     — a requirement for the parallel runtime's cache correctness.
 
     When a :class:`~repro.telemetry.Telemetry` session is given, the
-    engine, topology, and monitor are instrumented, a
-    ``failure_injected`` timeline event is recorded per failed entry at
-    the injection instant, and the scored :class:`RunResult` carries the
-    per-entry detection records under ``extra["detections"]`` (the
-    timeline's injection→flag pairing; see
-    :meth:`repro.telemetry.StateTimeline.detection_records`).
+    engine, topology, and monitor are instrumented, a ``fault_injected``
+    fact is reported per failed entry at the injection instant, and the
+    scored :class:`RunResult` carries the per-entry detection records
+    under ``extra["detections"]`` (the timeline's injection→flag
+    pairing; see :meth:`repro.telemetry.StateTimeline.detection_records`).
     """
     rng = random.Random(stable_seed(spec.seed, rep, "setup"))
     sim = Simulator(telemetry=telemetry)
@@ -159,19 +158,17 @@ def run_entry_failure(spec: ExperimentSpec, rep: int = 0,
                                telemetry=telemetry)
 
     if telemetry is not None:
-        timeline = telemetry.timeline
-
         def _mark_injection() -> None:
             if spec.uniform:
-                timeline.record(sim.now, "failure", "failure_injected",
-                                kind="uniform", loss_rate=spec.loss_rate)
+                telemetry.emit("fault_injected", sim.now, "failure",
+                               kind="uniform", loss_rate=spec.loss_rate)
                 return
             for entry in failed:
                 hp = (monitor.tree_strategy.tree.hash_path(entry)
                       if monitor.tree_strategy is not None else None)
-                timeline.record(sim.now, "failure", "failure_injected",
-                                entry=entry, hash_path=hp,
-                                loss_rate=spec.loss_rate)
+                telemetry.emit("fault_injected", sim.now, "failure",
+                               entry=entry, hash_path=hp,
+                               loss_rate=spec.loss_rate)
 
         sim.schedule_at(failure_time, _mark_injection)
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..chaos.harness import SOAK_TREE, SoakResult, soak_entries
+from ..chaos.harness import SoakResult, soak_entries, soak_fancy_config
 from ..chaos.invariants import LinkInvariantObserver
 from ..chaos.perturbations import ChaosModel, Perturbation
 from ..chaos.schedule import FaultSpec, build_loss, build_perturbation
-from ..core.detector import FancyConfig
 from ..core.output import FailureKind
 from ..runtime import DictConfig, stable_seed
 from ..simulator.engine import Simulator
@@ -241,16 +240,9 @@ def fabric_soak(config: FabricSoakConfig,
         net.add_entry(entry, src, dst)
     monitored = ["s0->s1", "s1->s2", f"{dst}->{sentinel_hop}"]
 
-    fancy = FancyConfig(
-        high_priority=dedicated,
-        tree_params=SOAK_TREE,
-        dedicated_session_s=0.050,
-        tree_session_s=0.200,
-        twait_s=0.015,
-        seed=stable_seed(config.seed, "fancy", bits=31),
-    )
-    deployment = FabricDeployment(net, config=fancy, links=monitored,
-                                  telemetry=telemetry)
+    deployment = FabricDeployment(
+        net, config=soak_fancy_config(config.seed, dedicated),
+        links=monitored, telemetry=telemetry)
 
     sources: list[UdpSource] = []
     for i, entry in enumerate(dedicated + best_effort):
@@ -287,9 +279,7 @@ def fabric_soak(config: FabricSoakConfig,
 
     if telemetry is not None:
         for monitor in deployment.monitors.values():
-            traces = getattr(monitor.telemetry, "traces", None)
-            if traces is not None:
-                traces.finalize(sim.now)
+            monitor.telemetry.traces.finalize(sim.now)
 
     stats = {
         "sim_time": sim.now,
@@ -305,7 +295,7 @@ def fabric_soak(config: FabricSoakConfig,
     }
     if telemetry is not None:
         stats["trace_spans"] = {
-            lid: len(getattr(mon.telemetry, "traces", []) or [])
+            lid: len(mon.telemetry.traces)
             for lid, mon in deployment.monitors.items()
         }
     return SoakResult(seed=config.seed,

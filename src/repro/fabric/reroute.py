@@ -82,7 +82,7 @@ class SelectiveRerouteApp:
         self.overrides: dict[Any, int] = {}
         self.rerouted_packets = 0
         #: Called once per entry on the first packet actually steered —
-        #: the controller closes its recovery span off this signal.
+        #: the controller reports the entry's recovery off this signal.
         self.on_steered: Any = None
         self._steered: set[Any] = set()
         self._installed = self._decide
@@ -150,9 +150,6 @@ class FabricRerouteController:
         self.reroute_times: dict[tuple[str, Any], float] = {}
         #: flagged (link_id, entry) pairs with no repair path available.
         self.unprotectable: list[tuple[str, Any]] = []
-        #: open recovery spans (install → first packet steered), keyed by
-        #: (link_id, entry) -> (trace collector, span id).
-        self._recovery_spans: dict[tuple[str, Any], tuple[Any, int]] = {}
         for app in self.apps.values():
             app.on_steered = self._on_steered
         self._running = False
@@ -184,45 +181,39 @@ class FabricRerouteController:
         a, b = self.net.endpoints(link_id)
         dst = self.net.entry_dst.get(entry)
         if dst is None:  # flag for an entry the fabric never registered
-            self.unprotectable.append(key)
-            self._trace_unprotectable(link_id, entry)
+            self._mark_unprotectable(link_id, entry)
             return
         path = self.lfa.repair_path(a, dst, (a, b))
         if path is None or len(path) < 2:
-            self.unprotectable.append(key)
-            self._trace_unprotectable(link_id, entry)
+            self._mark_unprotectable(link_id, entry)
             return
         for u, v in zip(path, path[1:]):
             self.apps[u].set_override(entry, self.net.port_to(u, v))
         now = self.net.sim.now
         self.reroute_times[key] = now
-        traces = self._trace_collector(link_id)
-        if traces is not None and traces.active:
-            traces.emit("reroute_install", now, category="reroute",
-                        link=link_id, entry=entry, path=path)
-            span = traces.open_span("recovery", now, category="reroute",
-                                    link=link_id, entry=entry)
-            if span is not None:
-                self._recovery_spans[key] = (traces, span)
+        telemetry = self._telemetry(link_id)
+        if telemetry is not None:
+            telemetry.emit("reroute_install", now, link_id, entry=entry,
+                           path=path)
 
-    def _trace_collector(self, link_id: str) -> Any:
+    def _telemetry(self, link_id: str) -> Any:
         monitor = self.deployment.monitors.get(link_id)
-        if monitor is None:
-            return None
-        return getattr(monitor.telemetry, "traces", None)
+        return monitor.telemetry if monitor is not None else None
 
-    def _trace_unprotectable(self, link_id: str, entry: Any) -> None:
-        traces = self._trace_collector(link_id)
-        if traces is not None and traces.active:
-            traces.emit("reroute_unprotectable", self.net.sim.now,
-                        category="reroute", link=link_id, entry=entry)
+    def _mark_unprotectable(self, link_id: str, entry: Any) -> None:
+        self.unprotectable.append((link_id, entry))
+        telemetry = self._telemetry(link_id)
+        if telemetry is not None:
+            telemetry.emit("reroute_unprotectable", self.net.sim.now,
+                           link_id, entry=entry)
 
     def _on_steered(self, entry: Any) -> None:
-        """Close recovery spans once the first packet actually moves."""
+        """Report recovery once the first packet actually moves."""
         now = self.net.sim.now
-        for key in [k for k in self._recovery_spans if k[1] == entry]:
-            traces, span = self._recovery_spans.pop(key)
-            traces.close_span(span, now)
+        for link_id, installed in self.reroute_times:
+            telemetry = self._telemetry(link_id)
+            if installed == entry and telemetry is not None:
+                telemetry.emit("reroute_recovered", now, link_id, entry=entry)
 
     # -- queries ----------------------------------------------------------
 

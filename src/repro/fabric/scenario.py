@@ -106,30 +106,27 @@ def start_staggered(deployment: FabricDeployment) -> None:
 
 def open_fault_episode(deployment: FabricDeployment, link_id: str, at: float,
                        name: str, *, window_s: float | None = None,
-                       injected_entry: Any = None, **attrs: Any) -> None:
-    """Root a fault-caused trace episode on ``link_id``'s monitor at ``at``.
+                       **attrs: Any) -> None:
+    """Report a ``fault_injected`` fact on ``link_id``'s monitor at ``at``.
 
-    Only the harness knows the root cause, so it opens the episode every
-    later span (divergence → zoom → flag → reroute) hangs under.
-    ``window_s`` closes it that much later; ``injected_entry`` also logs
-    ``failure_injected`` on the monitor's timeline.  No-op when the link
-    is unmonitored or its telemetry is off.
+    Only the harness knows the root cause, so it opens the trace episode
+    every later span (divergence → zoom → flag → reroute) hangs under.
+    ``window_s`` closes it that much later; an ``entry`` attribute also
+    names the victim for detection pairing.  No-op when the link is
+    unmonitored or its telemetry is off.
     """
     monitor = deployment.monitors.get(link_id)
     telemetry: Any = monitor.telemetry if monitor is not None else None
-    traces = getattr(telemetry, "traces", None)
-    if traces is None:
+    if telemetry is None:
         return
     sim = deployment.net.sim
 
     def _open() -> None:
-        if injected_entry is not None:
-            telemetry.timeline.record(sim.now, link_id, "failure_injected",
-                                      entry=injected_entry)
-        traces.begin_episode(sim.now, cause="fault", name=name, link=link_id,
-                             **attrs)
+        telemetry.emit("fault_injected", sim.now, link_id, fault=name,
+                       link=link_id, **attrs)
         if window_s is not None:
-            sim.schedule(window_s, lambda: traces.end_episode(sim.now))
+            sim.schedule(window_s,
+                         lambda: telemetry.traces.end_episode(sim.now))
 
     sim.schedule_at(at, _open)
 
@@ -139,8 +136,7 @@ def link_payload(deployment: FabricDeployment, link_id: str,
     """Finalize ``link_id``'s traces; the payload ``merge_link_results`` reads."""
     sim = deployment.net.sim
     telemetry: Any = deployment.telemetry
-    fork: Any = deployment.monitors[link_id].telemetry
-    traces = fork.traces
+    traces = deployment.monitors[link_id].telemetry.traces
     traces.finalize(sim.now)
     return {
         "link": link_id,

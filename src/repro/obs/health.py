@@ -172,11 +172,9 @@ class FabricHealthReport:
             latencies: list[float] = []
             unattributed = n_traces = n_spans = 0
             if telemetry is not None:
-                truncated = getattr(telemetry.timeline, "suppressed", 0)
-                collector = getattr(telemetry, "traces", None)
-                if collector is not None:
-                    latencies, unattributed, n_traces, n_spans = (
-                        _trace_stats(collector))
+                truncated = telemetry.timeline.suppressed
+                latencies, unattributed, n_traces, n_spans = (
+                    _trace_stats(telemetry.traces))
             health = LinkHealth(
                 link_id=link_id,
                 status="healthy",

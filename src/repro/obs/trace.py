@@ -16,13 +16,12 @@ Design constraints, in order:
   collector's scope plus an episode counter — two runs with the same
   seed serialize byte-identically (the fabric experiments assert this).
 * **Free when healthy.**  A collector only records while an episode is
-  open (:attr:`TraceCollector.active`); instrumentation points emit
-  through ``if traces is not None and traces.active`` guards, so steady
-  state pays one attribute check and no allocation.  Episodes open at
-  fault-injection time (the chaos/experiment harnesses are the root
-  cause) or lazily on an unattributed detection
-  (:meth:`TraceCollector.ensure_episode` — exactly the false-positive
-  sentinel case the health report surfaces).
+  open (:attr:`TraceCollector.active`); the fact table checks it before
+  building a span, so steady state pays one attribute check and no
+  allocation.  Episodes open at fault-injection time (the
+  chaos/experiment harnesses are the root cause) or lazily on an
+  unattributed detection (:meth:`TraceCollector.ensure_episode` —
+  exactly the false-positive sentinel case the health report surfaces).
 * **Monotone.**  Like :class:`~repro.telemetry.timeline.StateTimeline`,
   a collector rejects backwards timestamps — one collector per
   simulation, a loud canary for cross-wired instrumentation.
@@ -50,22 +49,10 @@ __all__ = [
 ]
 
 #: The closed span-category vocabulary (schema-enforced, colour-coded in
-#: the HTML report):
-#:
-#: ``cause``     episode root — a fault activation or, for unattributed
-#:               episodes, the detection that opened them
-#: ``fsm``       an FSM state transition (instant)
-#: ``protocol``  one counting session on a sender FSM (durative)
-#: ``control``   one control message put on the wire (instant)
-#: ``counters``  upstream/downstream counter divergence (instant)
-#: ``zoom``      one hash-tree exploration holding a frontier node
-#:               (durative: activate → retreat/descend)
-#: ``detect``    a failure flag raised by the monitor (instant)
-#: ``reroute``   repair-path install (instant) and recovery — install →
-#:               first packet steered (durative)
-#: ``chaos``     fault-model side events, e.g. switch restarts (instant)
-#: ``ladder``    a degradation-ladder rung change (instant) — the
-#:               degraded-mode supervision layer (docs/ROBUSTNESS.md)
+#: the HTML report).  ``cause`` is an episode root: a fault activation or,
+#: for unattributed episodes, the detection that opened it; the fact table
+#: (:mod:`repro.telemetry.facts`) names the facts that emit each other
+#: category.
 CATEGORIES = (
     "cause", "fsm", "protocol", "control", "counters", "zoom", "detect",
     "reroute", "chaos", "ladder",

@@ -93,8 +93,7 @@ class DegradationLadder:
     Args:
         monitor: the :class:`~repro.core.detector.FancyLinkMonitor`
             whose control-channel health this ladder tracks.
-        link_id: label for telemetry (``fancy_ladder_transitions_total``
-            and timeline/trace records).
+        link_id: label of the ``ladder_transition`` telemetry facts.
         declare_grace_s: how recently the link must have produced a
             verified report for an exhaustion to be absorbed.  Must stay
             below the protocol's dead-channel exhaustion floor.
@@ -142,19 +141,9 @@ class DegradationLadder:
         self.transitions += 1
         telemetry = self.monitor.telemetry
         if telemetry is not None:
-            telemetry.metrics.counter(
-                "fancy_ladder_transitions_total",
-                "Degradation-ladder rung changes, by link and edge",
-                link=self.link_id, src=old_state.value,
-                dst=new_state.value).inc()
-            telemetry.timeline.record(
-                self._t, f"ladder:{self.link_id}", "ladder_transition",
-                **{"from": old_state.value, "to": new_state.value})
-            traces = telemetry.traces
-            if traces is not None and traces.active:
-                traces.emit(
-                    f"ladder {old_state.value}->{new_state.value}",
-                    self._t, category="ladder", link=self.link_id)
+            telemetry.emit("ladder_transition", self._t,
+                           f"ladder:{self.link_id}", link=self.link_id,
+                           src=old_state.value, dst=new_state.value)
 
     # -- impairment signal protocol ---------------------------------------
 

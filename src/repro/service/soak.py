@@ -36,9 +36,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..chaos.harness import SOAK_TREE
+from ..chaos.harness import soak_fancy_config
 from ..chaos.schedule import FaultSpec
-from ..core.detector import FancyConfig
 from ..fabric.builders import ring
 from ..fabric.chaos import (
     fault_start,
@@ -274,15 +273,11 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
         src, dst = _entry_endpoints(entry, config.ring_size)
         net.add_entry(entry, src, dst)
 
-    fancy = FancyConfig(
-        high_priority=list(rotations[0][1]),
-        tree_params=SOAK_TREE,
+    fancy = soak_fancy_config(
+        config.seed, list(rotations[0][1]),
         dedicated_session_s=config.dedicated_session_s,
         tree_session_s=config.tree_session_s,
-        rtx_timeout_s=config.rtx_timeout_s,
-        twait_s=config.twait_s,
-        seed=stable_seed(config.seed, "fancy", bits=31),
-    )
+        rtx_timeout_s=config.rtx_timeout_s, twait_s=config.twait_s)
     telemetry = Telemetry(scope=link_id)
     deployment = FabricDeployment(net, config=fancy, links=[link_id],
                                   telemetry=telemetry)

@@ -7,8 +7,8 @@ health snapshots, hours apart, yet a liveness deadlock at hour 2 must
 surface at hour 2, not in a post-run report.
 :class:`InvariantSupervisor` owns one observer per monitored link and
 ticks them on a self-scheduled simulated-clock cadence; every breach is
-exported as ``fancy_invariant_breach_total{invariant=,link=}`` and fed
-into the health report (the serve driver attaches breach counts to each
+reported as an ``invariant_breach`` telemetry fact and fed into the
+health report (the serve driver attaches breach counts to each
 link's :class:`~repro.obs.health.LinkHealth`).
 
 Tick evaluation covers the invariants that hold at every instant
@@ -70,10 +70,8 @@ class InvariantSupervisor:
 
     def _on_breach(self, link_id: str, violation: Violation) -> None:
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "fancy_invariant_breach_total",
-                "Soak-invariant (I1-I6) breaches observed online",
-                invariant=violation.invariant, link=link_id).inc()
+            self.telemetry.emit("invariant_breach", self.sim.now, link_id,
+                                invariant=violation.invariant)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -16,10 +16,12 @@ of truth:
 * :mod:`~repro.telemetry.session` — the :class:`Telemetry` bundle that
   instrumented components accept as ``telemetry=``; it also carries a
   :class:`~repro.obs.trace.TraceCollector` (re-exported here) stringing
-  each detection episode into a causal trace — see :mod:`repro.obs`.
+  each detection episode into a causal trace — see :mod:`repro.obs`;
+* :mod:`~repro.telemetry.facts` — the fact table: what each fact
+  reported through :meth:`Telemetry.emit` becomes in those three sinks.
 
-See ``docs/TELEMETRY.md`` for the metric catalogue, the trace schema
-and workflows.
+See ``docs/TELEMETRY.md`` for the fact table, the metric catalogue, the
+trace schema and workflows.
 """
 
 from ..obs.trace import Span, TraceCollector

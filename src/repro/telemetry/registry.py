@@ -176,20 +176,15 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", *,
                   start: float = 1e-6, base: float = 10.0, n_buckets: int = 12,
                   **labels: str) -> Histogram:
-        key = (name, _labelset(labels))
-        self._check_kind(name, "histogram", help)
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = Histogram(name, key[1], start=start, base=base, n_buckets=n_buckets)
-            self._instruments[key] = inst
-        return inst  # type: ignore[return-value]
+        return self._get(Histogram, name, help, labels, start=start, base=base,
+                         n_buckets=n_buckets)
 
-    def _get(self, cls, name: str, help: str, labels: dict):
+    def _get(self, cls, name: str, help: str, labels: dict, **options):
         key = (name, _labelset(labels))
         self._check_kind(name, cls.kind, help)
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(name, key[1])
+            inst = cls(name, key[1], **options)
             self._instruments[key] = inst
         return inst
 

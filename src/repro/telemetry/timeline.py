@@ -1,23 +1,10 @@
 """Protocol state-machine timeline: *how* a detection unfolded.
 
 The :class:`StateTimeline` is an append-only, monotonically timestamped
-event log fed by the FANcY FSMs (:mod:`repro.core.protocol`), the
-zooming strategy (:mod:`repro.core.zooming`), the link monitor
-(:mod:`repro.core.detector`) and the experiment runners.  Event types:
-
-========================  =====================================================
-``fsm_transition``        an FSM changed state (fields: ``fsm``, ``role``,
-                          ``from``, ``to``, ``session``)
-``session_open`` /        a counting session opened / completed on a sender
-``session_close``         FSM (fields: ``fsm``, ``session``)
-``zoom_descend`` /        the tree's zooming frontier activated / retreated
-``zoom_retreat``          from a node (fields: ``fsm``, ``path``, ``level``)
-``failure_injected``      the experiment injected a gray failure (fields:
-                          ``entry``, optional ``hash_path``)
-``detection``             the monitor raised a failure report (fields:
-                          ``kind``, ``fsm``, ``entry`` / ``hash_path``,
-                          ``session``, ``lost``, ``control_bytes``)
-========================  =====================================================
+event log.  Its events (FSM transitions, session open/close, zooming
+descent and retreat, failure injection, detections, ...) are the timeline
+projections of the facts in :mod:`repro.telemetry.facts`, which names
+each event and its fields.
 
 Ordering guarantee: :meth:`StateTimeline.record` **rejects** timestamps
 that run backwards, so a timeline is monotone by construction (events at
@@ -43,7 +30,7 @@ from typing import Any, Callable, IO, Iterator, Optional
 __all__ = ["TimelineEvent", "StateTimeline", "DetectionRecord"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimelineEvent:
     """One timeline entry: a timestamp, a source, an event type, fields."""
 
@@ -105,23 +92,19 @@ class StateTimeline:
         self.suppressed = 0
         self._last_time = float("-inf")
         self._seq = 0
-        self._suppression_counter: Any = None
-
-    def bind_suppression_counter(self, counter: Any) -> None:
-        """Mirror bounded-suppression drops into a registry counter.
-
-        A truncated timeline is a blindspot — detection pairing and FSM
-        forensics silently lose their tail.  :class:`~repro.telemetry.
-        session.Telemetry` binds ``telemetry_timeline_truncated_total``
-        here so the drop count shows up in metric exports instead of
-        only inside the (possibly never-serialized) timeline object.
-        """
-        self._suppression_counter = counter
+        #: Registry counter mirroring the drops, so a truncated timeline
+        #: (a blind spot: detection pairing loses its tail) shows in metric
+        #: exports, not only in this object.
+        self.suppression_counter: Any = None
 
     # -- recording ------------------------------------------------------------
 
     def record(self, time: float, source: str, event: str, **fields: Any) -> None:
         """Append one event; raises on a backwards timestamp."""
+        self.append(time, source, event, fields)
+
+    def append(self, time: float, source: str, event: str, fields: dict) -> None:
+        """:meth:`record` with the fields as one dict (kept, not copied)."""
         if time < self._last_time:
             raise ValueError(
                 f"timeline event {event!r} at t={time} is earlier than the "
@@ -131,8 +114,8 @@ class StateTimeline:
         self._last_time = time
         if len(self.events) >= self.max_events:
             self.suppressed += 1
-            if self._suppression_counter is not None:
-                self._suppression_counter.inc()
+            if self.suppression_counter is not None:
+                self.suppression_counter.inc()
             return
         self.events.append(TimelineEvent(time, self._seq, source, event, fields))
         self._seq += 1
