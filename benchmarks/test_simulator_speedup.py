@@ -5,7 +5,7 @@ Measures, in process:
 * engine event throughput (bare schedule + dispatch),
 * the packet-path microbench — a CBR UDP source through one link with a
   1% gray failure — under the reference dataplane and under the fast
-  configuration (fused links + burst coalescing + packet pool + trains),
+  configuration (fused links + burst coalescing + trains),
 * the quick fig9a smoke run under the fast configuration,
 
 asserts the in-process fast/reference packet-path ratio stays >= 2x, and
@@ -34,7 +34,7 @@ from repro.simulator import fastpath
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import EntryLossFailure
 from repro.simulator.link import Link
-from repro.simulator.packet import POOL, Packet
+from repro.simulator.packet import Packet
 from repro.simulator.udp import UdpSource
 
 #: Pre-overhaul baseline: parent commit of the fast-path overhaul,
@@ -68,7 +68,7 @@ def _engine_events_per_s(n_events: int = 20_000, rounds: int = 3) -> float:
 
 
 class _Sink:
-    """Counts deliveries; recycles pooled packets like a real endpoint."""
+    """Counts deliveries."""
 
     __slots__ = ("received",)
 
@@ -77,23 +77,19 @@ class _Sink:
 
     def receive(self, packet: Packet, in_port: int) -> None:
         self.received += 1
-        if POOL.enabled:
-            packet.release()
 
 
 def _packet_path_pps(fast: bool, sim_seconds: float = 3.0, rounds: int = 2):
     """UDP CBR through one access link with a 1% gray failure.
 
     Reference: one timer event and one delivery event per packet.  Fast:
-    ``train=8`` batches the timer, burst coalescing batches the
-    deliveries, and the pool recycles the packet objects.  Returns
+    ``train=8`` batches the timer and burst coalescing batches the
+    deliveries.  Returns
     ``(packets_per_wall_second, sent, received, drops, events)``.
     """
     best = None
     for _ in range(rounds):
-        overrides = (dict(fused_links=True, packet_pool=True) if fast
-                     else dict(fused_links=False, packet_pool=False))
-        with fastpath.scoped(**overrides):
+        with fastpath.scoped(fused_links=fast):
             sim = Simulator()
             sink = _Sink()
             loss = EntryLossFailure(["e0"], 0.01, start_time=0.0, seed=7)
@@ -123,7 +119,7 @@ def _fig9a_quick_wall_s(rounds: int = 2) -> float:
     best = None
     for _ in range(rounds):
         t0 = time.perf_counter()
-        with fastpath.scoped(fused_links=True, packet_pool=True):
+        with fastpath.scoped(fused_links=True):
             result = fig9.run_single(quick=True, seed=0)
         wall = time.perf_counter() - t0
         assert result["tpr"], "smoke sweep produced no cells"

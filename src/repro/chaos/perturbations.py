@@ -592,14 +592,14 @@ def _control_payload_intact(packet: Packet) -> bool:
 
 
 def _clone_packet(packet: Packet) -> Packet:
-    """Duplicate a packet for redelivery (pool-aware, deep enough).
+    """Duplicate a packet for redelivery (deep enough).
 
     The payload dict is shallow-copied so later corruption of one copy
     cannot leak into the other; tags are immutable tuples and copied by
     reference.
     """
     payload = dict(packet.payload) if packet.payload is not None else None
-    copy = Packet.acquire(
+    copy = Packet(
         packet.kind, packet.entry, packet.size, flow_id=packet.flow_id,
         seq=packet.seq, ack=packet.ack, created_at=packet.created_at,
         payload=payload, reverse=packet.reverse)

@@ -6,8 +6,8 @@ points around a traffic manager, a Reno-style TCP, CBR UDP sources, and
 ready-made evaluation topologies.
 
 Performance: the dataplane has a reference path and an equivalence-tested
-fast path (fused link events, packet pooling, UDP packet trains) governed
-by :mod:`repro.simulator.fastpath`; see ``docs/PERFORMANCE.md``.
+fast path (fused link events, UDP packet trains); :mod:`repro.simulator.
+fastpath` switches the link pipeline.  See ``docs/PERFORMANCE.md``.
 """
 
 from . import fastpath
@@ -23,7 +23,7 @@ from .failures import (
     UniformLossFailure,
 )
 from .link import Link, LinkStats, connect_duplex
-from .packet import FANCY_TAG_BYTES, MIN_FRAME_BYTES, POOL, Packet, PacketKind, PacketPool
+from .packet import FANCY_TAG_BYTES, MIN_FRAME_BYTES, Packet, PacketKind
 from .switch import Node, Switch
 from .tcp import DEFAULT_RTO, TcpFlow, TcpSink
 from .topology import ChainTopology, StarTopology, TwoSwitchTopology
@@ -36,8 +36,6 @@ __all__ = [
     "EventHandle",
     "Packet",
     "PacketKind",
-    "PacketPool",
-    "POOL",
     "FANCY_TAG_BYTES",
     "MIN_FRAME_BYTES",
     "Link",

@@ -297,9 +297,6 @@ class Link:
                 stats.tx_packets += 1
                 stats.tx_bytes += packet.size
                 stats.dropped_failure += 1
-                # Fused implies untraced/untelemetried: nobody can
-                # observe the dropped packet, so recycle it immediately.
-                packet.release()
                 return
             if self.chaos is not None:
                 # Same pinned-departure discipline as the loss draw above:
@@ -312,7 +309,6 @@ class Link:
                     stats.tx_bytes += packet.size
                     if verdict == CHAOS_DROP:
                         stats.dropped_chaos += 1
-                        packet.release()
                     return
             self.sim.schedule_at(depart_t + self.delay_s, self._fused_arrive,
                                  packet, depart_t)

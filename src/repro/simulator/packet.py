@@ -10,12 +10,8 @@ encodes the node's hash path and the other the counter index within the
 node.  We model the tag as a tuple of counter indices (the packet's partial
 hash path) plus the session colour, which is what the logic consumes.
 
-Fast path: :class:`Packet` is a ``__slots__`` class and — when the pool is
-enabled via :mod:`repro.simulator.fastpath` — construction goes through a
-free list (:meth:`Packet.acquire`) with an explicit :meth:`Packet.release`
-at the sink.  A recycled packet is indistinguishable from a fresh one: it
-receives the next global ``pid`` from the same counter and every field is
-re-initialized, so pooled and unpooled runs are bit-identical.
+:class:`Packet` is a ``__slots__`` class; every packet is a fresh
+allocation, and the garbage collector reclaims it once the sink is done.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from typing import Any
 __all__ = [
     "PacketKind",
     "Packet",
-    "PacketPool",
-    "POOL",
     "make_data_packet",
     "FANCY_TAG_BYTES",
     "MIN_FRAME_BYTES",
@@ -67,48 +61,11 @@ for _kind in PacketKind:
 del _kind
 
 
-class PacketPool:
-    """Free list of recycled :class:`Packet` objects.
-
-    Disabled by default; toggle through :func:`repro.simulator.fastpath.
-    configure` (which keeps ``CONFIG.packet_pool`` and ``POOL.enabled``
-    in sync).  The pool is bounded: beyond ``max_size`` released packets
-    are simply left to the garbage collector.
-    """
-
-    __slots__ = ("enabled", "max_size", "free", "reused", "released")
-
-    def __init__(self, max_size: int = 8192) -> None:
-        self.enabled = False
-        self.max_size = max_size
-        self.free: list["Packet"] = []
-        #: Lifetime stats (observability for the pool micro-benchmarks).
-        self.reused = 0
-        self.released = 0
-
-    def drain(self) -> None:
-        """Drop every pooled packet (used when disabling the pool)."""
-        self.free.clear()
-
-    def stats(self) -> dict[str, int | bool]:
-        return {
-            "enabled": self.enabled,
-            "free": len(self.free),
-            "reused": self.reused,
-            "released": self.released,
-        }
-
-
-#: The process-wide packet pool.
-POOL = PacketPool()
-
-
 class Packet:
     """A simulated packet.
 
     Attributes:
-        pid: globally unique packet id (monotonically increasing);
-            ``-1`` marks a packet currently parked in the pool.
+        pid: globally unique packet id (monotonically increasing).
         kind: one of :class:`PacketKind`.
         entry: monitoring-entry key (destination prefix id); drives both
             forwarding and FANcY counting.
@@ -169,63 +126,6 @@ class Packet:
         #: direction and are not counted by the forward FANcY session.
         self.reverse = reverse
 
-    @classmethod
-    def acquire(
-        cls,
-        kind: PacketKind,
-        entry: Any,
-        size: int,
-        flow_id: int = -1,
-        seq: int = 0,
-        ack: int = -1,
-        created_at: float = 0.0,
-        payload: dict[str, Any] | None = None,
-        reverse: bool = False,
-    ) -> "Packet":
-        """Pool-aware constructor: recycle a released packet when possible.
-
-        Falls back to a regular allocation when the pool is disabled or
-        empty.  Either way the packet gets a fresh ``pid`` from the global
-        counter, so pooled runs consume the id sequence identically.
-        """
-        pool = POOL
-        if pool.enabled and pool.free:
-            packet = pool.free.pop()
-            pool.reused += 1
-            packet.pid = next(_packet_ids)
-            packet.kind = kind
-            packet.entry = entry
-            packet.flow_id = flow_id
-            packet.size = size
-            packet.seq = seq
-            packet.ack = ack
-            packet.created_at = created_at
-            packet.tag = None
-            packet.tag_session = -1
-            packet.tag_dedicated = False
-            packet.payload = payload
-            packet.reverse = reverse
-            return packet
-        return cls(kind, entry, size, flow_id=flow_id, seq=seq, ack=ack,
-                   created_at=created_at, payload=payload, reverse=reverse)
-
-    def release(self) -> None:
-        """Return this packet to the free list (no-op when pool disabled).
-
-        Safe against double release: a parked packet (``pid == -1``) is
-        never parked twice.  Callers must not touch the packet afterwards.
-        """
-        pool = POOL
-        if not pool.enabled or self.pid == -1:
-            return
-        if len(pool.free) < pool.max_size:
-            self.pid = -1
-            self.entry = None
-            self.payload = None
-            self.tag = None
-            pool.free.append(self)
-            pool.released += 1
-
     @property
     def is_tagged(self) -> bool:
         return self.tag is not None
@@ -250,6 +150,6 @@ def make_data_packet(
     seq: int,
     now: float,
 ) -> Packet:
-    """Convenience constructor for forward data packets (pool-aware)."""
-    return Packet.acquire(PacketKind.DATA, entry, size, flow_id=flow_id, seq=seq,
-                          created_at=now)
+    """Convenience constructor for forward data packets."""
+    return Packet(PacketKind.DATA, entry, size, flow_id=flow_id, seq=seq,
+                  created_at=now)

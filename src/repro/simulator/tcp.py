@@ -11,12 +11,6 @@ slow start, AIMD congestion avoidance, triple-duplicate-ACK fast
 retransmit, and a 200 ms retransmission timeout with exponential backoff
 (the paper's stated flow parameters).  Sequence numbers are in packets,
 not bytes — the counting logic only sees packet counts anyway.
-
-Fast path: data and ACK packets are allocated through
-:meth:`repro.simulator.packet.Packet.acquire`, so enabling the packet
-pool (:mod:`repro.simulator.fastpath`) recycles them through the free
-list; the sink side of :class:`repro.simulator.apps.Host` releases
-consumed packets.
 """
 
 from __future__ import annotations
@@ -137,7 +131,7 @@ class TcpFlow:
                 self._pacing_timer = self.sim.schedule(self._pacing_interval, self._try_send)
 
     def _emit(self, seq: int, retransmission: bool = False) -> None:
-        packet = Packet.acquire(
+        packet = Packet(
             PacketKind.DATA,
             self.entry,
             self.packet_size,
@@ -274,7 +268,7 @@ class TcpSink:
         self._send_ack()
 
     def _send_ack(self) -> None:
-        ack = Packet.acquire(
+        ack = Packet(
             PacketKind.ACK,
             self.entry,
             ACK_SIZE,

@@ -114,14 +114,10 @@ class UdpSource:
         # path, where each tick fires at t and schedules t + gap.
         t = self.sim.now
         for _ in range(self.train):
-            packet = Packet.acquire(
-                PacketKind.DATA,
-                self.entry,
-                self.packet_size,
-                flow_id=self.flow_id,
-                seq=self.next_seq,
-                created_at=t,
-            )
+            # Positional (kind, entry, size, flow_id, seq, ack, created_at):
+            # keyword arguments to a class call cost a dict per packet.
+            packet = Packet(PacketKind.DATA, self.entry, self.packet_size,
+                            self.flow_id, self.next_seq, -1, t)
             self.next_seq += 1
             self.packets_sent += 1
             send_fn(packet)

@@ -6,7 +6,7 @@ from repro.simulator.packet import Packet
 def leak_packets(rng, entries, n):
     out = []
     for entry in entries:
-        packet = Packet.acquire("DATA", entry, 1500)
+        packet = Packet("DATA", entry, 1500)
         out.append(packet)
     while n > 0:
         n -= 1

@@ -1,7 +1,7 @@
 """Determinism-equivalence tests for the simulator fast paths.
 
 The optimization contract (see ``docs/PERFORMANCE.md``) is that every
-fast-path mode — fused link events, packet pooling, flat-array tree
+fast-path mode — fused link events, flat-array tree
 counters, UDP packet trains — consumes the same RNG draws in the same
 order as the reference dataplane and therefore produces *identical*
 experiment outputs.  These tests enforce the contract end-to-end:
@@ -38,8 +38,7 @@ from repro.traffic.synthetic import EntrySize
 
 #: The fast-path configurations under test, each compared to "reference".
 MODES = {
-    "fused": dict(fused_links=True, packet_pool=False),
-    "fused+pool": dict(fused_links=True, packet_pool=True),
+    "fused": dict(fused_links=True),
 }
 
 SPECS = {
@@ -65,7 +64,7 @@ def _scored(spec_name: str, mode_name: str) -> dict:
     """run_entry_failure under a fast-path config, memoized per module."""
     key = (spec_name, mode_name)
     if key not in _RESULT_CACHE:
-        cfg = (dict(fused_links=False, packet_pool=False)
+        cfg = (dict(fused_links=False)
                if mode_name == "reference" else MODES[mode_name])
         with fastpath.scoped(**cfg):
             _RESULT_CACHE[key] = run_entry_failure(SPECS[spec_name]).to_dict()
@@ -168,7 +167,7 @@ def _run_fancy_drained(cfg: dict, mode: str) -> dict:
 class TestDrainedScenarioEquivalence:
     def test_stats_counters_reports_identical(self, mode, mode_name):
         reference = _run_fancy_drained(
-            dict(fused_links=False, packet_pool=False), mode)
+            dict(fused_links=False), mode)
         fast = _run_fancy_drained(MODES[mode_name], mode)
         assert fast == reference
         assert reference["reports"], "scenario must produce detections"
@@ -251,7 +250,7 @@ def _run_fancy_chaos_drained(cfg: dict) -> dict:
 class TestChaosDrainedEquivalence:
     def test_chaos_outputs_identical(self, mode_name):
         reference = _run_fancy_chaos_drained(
-            dict(fused_links=False, packet_pool=False))
+            dict(fused_links=False))
         fast = _run_fancy_chaos_drained(MODES[mode_name])
         assert fast == reference
         # guard against vacuous equivalence: every fault class fired and
@@ -303,7 +302,7 @@ def _run_lossy_link(cfg: dict) -> dict:
 @pytest.mark.parametrize("mode_name", sorted(MODES))
 def test_lossy_link_sequences_identical(mode_name):
     """Same drops, same delivery order, same relative pid allocation."""
-    reference = _run_lossy_link(dict(fused_links=False, packet_pool=False))
+    reference = _run_lossy_link(dict(fused_links=False))
     fast = _run_lossy_link(MODES[mode_name])
     assert fast == reference
     assert reference["stats"]["dropped_failure"] > 0

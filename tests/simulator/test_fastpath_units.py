@@ -2,9 +2,9 @@
 
 The equivalence suite (test_fastpath_equivalence.py) proves end-to-end
 output identity; this module pins the *mechanisms* — heap compaction,
-sequence-counter reset, the fused/kick link state machine, the packet
-pool free list, and the UDP packet-train bookkeeping — with small,
-surgical scenarios.
+sequence-counter reset, the fused/kick link state machine, the
+fast-path configuration scope, and the UDP packet-train bookkeeping —
+with small, surgical scenarios.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from repro.simulator import fastpath
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
-from repro.simulator.packet import POOL, Packet, PacketKind, make_data_packet
+from repro.simulator.packet import Packet, PacketKind, make_data_packet
 from repro.simulator.tracing import PacketTracer
 from repro.simulator.udp import UdpSource
 from repro.telemetry import Telemetry
@@ -264,68 +264,16 @@ class TestFusedLink:
 
 
 # ---------------------------------------------------------------------------
-# Packet pool.
+# Fast-path configuration.
 # ---------------------------------------------------------------------------
 
 
-class TestPacketPool:
-    def setup_method(self):
-        fastpath.configure(packet_pool=False)  # drain + disable
-
-    def teardown_method(self):
-        fastpath.configure(packet_pool=False)
-
-    def test_release_then_acquire_recycles_object(self):
-        fastpath.configure(packet_pool=True)
-        reused_before = POOL.reused  # cumulative process-wide counter
-        first = Packet.acquire(PacketKind.DATA, "e", 100)
-        first.release()
-        assert first.pid == -1
-        second = Packet.acquire(PacketKind.DATA, "f", 200, seq=7)
-        assert second is first  # same object, recycled
-        assert (second.entry, second.size, second.seq) == ("f", 200, 7)
-        assert second.tag is None and second.tag_session == -1
-        assert POOL.reused == reused_before + 1
-
-    def test_pids_stay_fresh_and_monotonic_when_pooled(self):
-        """Pooled runs consume the global pid sequence identically."""
-        fastpath.configure(packet_pool=True)
-        pids = []
-        for _ in range(5):
-            p = Packet.acquire(PacketKind.DATA, "e", 100)
-            pids.append(p.pid)
-            p.release()
-        assert pids == sorted(pids)
-        assert len(set(pids)) == 5
-
-    def test_double_release_is_a_noop(self):
-        fastpath.configure(packet_pool=True)
-        p = Packet.acquire(PacketKind.DATA, "e", 100)
-        p.release()
-        n_free = len(POOL.free)
-        p.release()
-        assert len(POOL.free) == n_free
-
-    def test_release_without_pool_is_a_noop(self):
-        p = Packet.acquire(PacketKind.DATA, "e", 100)
-        p.release()
-        assert p.pid != -1
-        assert POOL.free == []
-
-    def test_disabling_pool_drains_free_list(self):
-        fastpath.configure(packet_pool=True)
-        Packet.acquire(PacketKind.DATA, "e", 100).release()
-        assert POOL.free
-        fastpath.configure(packet_pool=False)
-        assert POOL.free == []
-
+class TestFastPathConfig:
     def test_scoped_restores_previous_config(self):
         before = fastpath.CONFIG.snapshot()
-        with fastpath.scoped(fused_links=False, packet_pool=True):
-            assert fastpath.CONFIG.packet_pool is True
-            assert POOL.enabled is True
+        with fastpath.scoped(fused_links=not before["fused_links"]):
+            assert fastpath.CONFIG.fused_links is not before["fused_links"]
         assert fastpath.CONFIG.snapshot() == before
-        assert POOL.enabled is False
 
 
 # ---------------------------------------------------------------------------
