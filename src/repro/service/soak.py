@@ -39,16 +39,10 @@ from typing import Any, Optional
 from ..chaos.harness import soak_fancy_config
 from ..chaos.schedule import FaultSpec
 from ..fabric.builders import ring
-from ..fabric.chaos import (
-    fault_start,
-    link_invariant_inputs,
-    link_target,
-    materialize_on_fabric,
-    parse_link_target,
-)
+from ..fabric.chaos import link_invariant_inputs, link_target, materialize_on_fabric
 from ..fabric.deployment import FabricDeployment
 from ..fabric.graph import FabricNetwork
-from ..fabric.scenario import bind_fluid, link_payload, open_fault_episode, start_staggered
+from ..fabric.scenario import bind_fluid, link_payload, start_staggered
 from ..fabric.sharding import merge_link_results, run_link_shards
 from ..obs.health import FabricHealthReport
 from ..runtime import DictConfig, RuntimeContext, stable_seed
@@ -283,19 +277,11 @@ def _serve_probe(config: ServeConfig, schedule: list[FaultSpec],
                                   telemetry=telemetry)
     monitor = deployment.monitors[link_id]
 
-    materialized = materialize_on_fabric(schedule, config.seed, net,
-                                         deployment)
-    a, b = net.endpoints(link_id)
-    reverse_id = f"{b}->{a}"
-    # materialize_on_fabric roots episodes only on the faulted link's own
-    # monitor; a fault on the *reverse* wire impairs this monitor just the
-    # same, so root one here too, closed after ``trace_window_s``.
-    for spec in schedule:
-        if parse_link_target(spec.target) == reverse_id:
-            open_fault_episode(
-                deployment, link_id, fault_start(spec), spec.kind,
-                window_s=config.trace_window_s, target=spec.target,
-                index=spec.index, params=spec.params)
+    # A day-long grey fault on the reverse wire must not record a day of
+    # control spans: its episode on this monitor closes after the window.
+    materialized = materialize_on_fabric(
+        schedule, config.seed, net, deployment,
+        reverse_window_s=config.trace_window_s)
 
     ladder = attach_ladder(
         monitor, link_id=link_id,

@@ -21,6 +21,7 @@ from repro.fabric.chaos import (
 from repro.fabric.deployment import FabricDeployment
 from repro.fabric.graph import FabricNetwork
 from repro.simulator.failures import CompositeFailure
+from repro.telemetry import Telemetry
 
 #: Pinned sha256 of ``fabric_soak(FabricSoakConfig(seed=3)).to_dict()``.
 GOLDEN_SOAK = "612b492bc09a467387dae50708e2968b60f39da5a0b6d0c27e3ab98398dfd197"
@@ -99,6 +100,24 @@ class TestMaterialize:
         assert list(materialized.chaos) == ["s0->s1"]
         assert materialized.chaos_models_for("s0->s1", "s1->s2") == [
             materialized.chaos["s0->s1"]]
+
+    def test_reverse_wire_fault_roots_episode_on_impaired_monitor(self, sim):
+        """A ``corrupt`` fault on ``s1->s0`` mangles the Reports that
+        ``s0->s1``'s monitor receives, so it roots a ``fault_injected``
+        episode there as well as on the faulted wire's own monitor."""
+        net = FabricNetwork(sim, ring(4))
+        dep = FabricDeployment(net, links=["s0->s1", "s1->s0"],
+                               telemetry=Telemetry(scope="t"))
+        corrupt = FaultSpec("corrupt", target=link_target("s1", "s0"),
+                            params={"field": "snapshot", "rate": 0.3,
+                                    "start": 0.1, "end": None}, index=0)
+        materialize_on_fabric([corrupt], 0, net, dep)
+        sim.run(until=0.2)
+        for link_id in ("s0->s1", "s1->s0"):
+            spans = dep.monitors[link_id].telemetry.traces.span_dicts()
+            assert [(s["name"], s["attrs"]["cause"], s["attrs"]["target"],
+                     s["start"], s["end"]) for s in spans] == [
+                ("corrupt", "fault", "link:s1->s0", 0.1, None)], link_id
 
 
 class TestSoakConfig:

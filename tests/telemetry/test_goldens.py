@@ -45,11 +45,11 @@ GOLDEN_ENTRY = {
 #: sha256 of each soak monitor's (timeline JSONL, trace JSONL).
 GOLDEN_SOAK_MONITORS = {
     "s0->s1": ("1b944d37ed9044c64e8c5153b620c3c10eef99867a51ba8fa62a89cc7b6bbc50",
-               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+               "135baf4c458273b7941a27d166e0e37602f22170706b81022ea5906e9a975e6f"),
     "s1->s2": ("ea2b526070432b99453e904f9395287a68626df34ab3b78d388e452f5112fa4d",
                "aae492abb192d4cc67da8f3a641265f8ca3fa8038a91b97038b32c8f2619d870"),
     "s2->s3": ("849066a4b93f89b975393cbdde39e4794c08149c40b4fee8bd3d19eea4f6b55b",
-               "cdc1773e5c5f45d35d59122c28c5a9eb0ef2382c49877a62f56b8bd8ed57db9c"),
+               "862966b8e469fa9b9379bd9df6de90ac0fff98136a90db655b0a84e7ffd853b3"),
 }
 #: sha256 of the soak's shared registry as Prometheus text.
 GOLDEN_SOAK_PROMETHEUS = (
